@@ -103,7 +103,9 @@ type replicaHost struct {
 	counter  *enclave.Counter
 	sealed   *enclave.SealedKeyStore
 	obs      *obs.Registry
-	stopped  bool
+	// ecallBatches records messages per entry-enclave crossing.
+	ecallBatches ecallBatchMetrics
+	stopped      bool
 	// provMu guards entryProvisioned, which records whether the initial
 	// remote attestation for the entry-enclave measurement has happened
 	// on this replica; later enclaves unseal instead (§4.5).
@@ -149,7 +151,7 @@ func buildHost(variant Variant, ks *enclave.KeyServer, cost *sgx.CostModel, appl
 			c = *cost
 		}
 		host.runtime = sgx.NewRuntime(sgx.EPCUsableBytes, c, applyLatency)
-		registerEcallMetrics(reg, host.runtime)
+		host.ecallBatches = registerEcallMetrics(reg, host.runtime)
 		host.sealed = enclave.NewSealedKeyStore()
 		ks.TrustPlatform(host.runtime.QuoteVerificationKey())
 
@@ -168,14 +170,25 @@ func buildHost(variant Variant, ks *enclave.KeyServer, cost *sgx.CostModel, appl
 	return host, nil
 }
 
+// ecallBatchMetrics holds the messages-per-crossing histograms of the
+// two entry-enclave ecalls; nil histograms (no registry) are no-ops.
+type ecallBatchMetrics struct {
+	request, response *obs.Histogram
+}
+
 // registerEcallMetrics hooks the SGX runtime's ecall observer into the
 // host registry: one crossing counter and one latency histogram per
 // ecall kind (entry request/response, counter sequence). The observer
 // fires on every enclave crossing, so the lookup is a prebuilt map hit
-// — no registry scan on the hot path.
-func registerEcallMetrics(reg *obs.Registry, rt *sgx.Runtime) {
+// — no registry scan on the hot path. It returns the entry ecalls'
+// messages-per-crossing histograms, which the interceptors fill.
+func registerEcallMetrics(reg *obs.Registry, rt *sgx.Runtime) ecallBatchMetrics {
 	if reg == nil {
-		return
+		return ecallBatchMetrics{}
+	}
+	batchHist := func(op string) *obs.Histogram {
+		return reg.CountHistogram("enclave_ecall_messages", fmt.Sprintf("op=%q", op),
+			"Messages carried per entry-enclave crossing.")
 	}
 	type pair struct {
 		count *obs.Counter
@@ -204,6 +217,10 @@ func registerEcallMetrics(reg *obs.Registry, rt *sgx.Runtime) {
 		p.count.Inc()
 		p.lat.Observe(durNs)
 	})
+	return ecallBatchMetrics{
+		request:  batchHist(enclave.EcallRequest),
+		response: batchHist(enclave.EcallResponse),
+	}
 }
 
 // hostEntryEnclave instantiates and provisions a per-client entry
@@ -256,7 +273,7 @@ func serveExternalHost(variant Variant, ks *enclave.KeyServer, host *replicaHost
 		if err != nil {
 			return err
 		}
-		return host.replica.ServeConn(sc, &entryInterceptor{entry: entry})
+		return host.replica.ServeConn(sc, &entryInterceptor{entry: entry, batches: &host.ecallBatches})
 	default:
 		return fmt.Errorf("core: unknown variant %d", variant)
 	}
@@ -550,7 +567,7 @@ func (c *Cluster) serveTLS(host *replicaHost, conn transport.Conn, entry *enclav
 		}
 		var icept server.Interceptor = server.NopInterceptor{}
 		if entry != nil {
-			icept = &entryInterceptor{entry: entry}
+			icept = &entryInterceptor{entry: entry, batches: &host.ecallBatches}
 		}
 		_ = host.replica.ServeConn(sc, icept)
 	}()
@@ -592,21 +609,24 @@ func (c *Cluster) ReplicaPublicKey(i int) []byte {
 }
 
 // entryInterceptor adapts the entry enclave to the server's
-// interception points.
+// interception points: each call is one enclave crossing.
 type entryInterceptor struct {
-	entry *enclave.Entry
+	entry   *enclave.Entry
+	batches *ecallBatchMetrics
 }
 
 var _ server.Interceptor = (*entryInterceptor)(nil)
 
-// OnRequest implements server.Interceptor.
-func (ei *entryInterceptor) OnRequest(msg []byte) ([]byte, error) {
-	return ei.entry.ProcessRequest(msg)
+// OnRequests implements server.Interceptor.
+func (ei *entryInterceptor) OnRequests(msgs [][]byte) ([][]byte, error) {
+	ei.batches.request.Observe(int64(len(msgs)))
+	return ei.entry.ProcessRequests(msgs)
 }
 
-// OnResponse implements server.Interceptor.
-func (ei *entryInterceptor) OnResponse(msg []byte) ([]byte, error) {
-	return ei.entry.ProcessResponse(msg)
+// OnResponses implements server.Interceptor.
+func (ei *entryInterceptor) OnResponses(msgs [][]byte) ([][]byte, error) {
+	ei.batches.response.Observe(int64(len(msgs)))
+	return ei.entry.ProcessResponses(msgs)
 }
 
 // StorageCodec returns a codec holding the cluster's storage key the

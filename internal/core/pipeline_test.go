@@ -5,15 +5,17 @@ package core
 // with a strict FIFO queue (§4.2): it records (xid, op, plaintext path)
 // per request and pops one entry per response, trusting release order.
 // The split pipeline executes reads concurrently with pending writes,
-// but OnRequest still runs serially on the session reader goroutine (in
-// submission order) and OnResponse serially on the writer goroutine (in
-// release order == submission order), so the enclave's assumption must
-// keep holding. These tests pin that: an ordering violation surfaces as
+// but OnRequests still runs serially on the session reader goroutine (in
+// submission order) and OnResponses serially on the writer goroutine (in
+// release order == submission order), with each batch transformed in
+// slice order, so the enclave's assumption must keep holding. These tests pin that: an ordering violation surfaces as
 // an enclave "FIFO violation" error, which kills the session.
 
 import (
 	"bytes"
 	"fmt"
+	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -136,5 +138,64 @@ func TestEnclaveMatchingManySessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestEcallMessagesPerCrossingMetric pipelines a mixed run through one
+// SecureKeeper session and checks the messages-per-crossing histogram
+// against the crossing counter: every ec_request crossing is observed
+// once, and together they carried every request.
+func TestEcallMessagesPerCrossingMetric(t *testing.T) {
+	c := newTestCluster(t, SecureKeeper)
+	cl, err := c.Connect(0, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Create(ctxbg, "/m", []byte("v"), 0); err != nil {
+		t.Fatal(err)
+	}
+	const ops = 48
+	futures := make([]*client.Future, 0, ops)
+	for i := 0; i < ops; i++ {
+		if i%4 == 0 {
+			futures = append(futures, cl.SetAsync("/m", []byte(fmt.Sprint(i)), -1))
+		} else {
+			futures = append(futures, cl.GetAsync("/m", false))
+		}
+	}
+	for i, f := range futures {
+		if res := f.Wait(); res.Err != nil {
+			t.Fatalf("op %d: %v", i, res.Err)
+		}
+	}
+
+	var text bytes.Buffer
+	if err := c.Obs(0).WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	sample := func(series string) int64 {
+		t.Helper()
+		m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\S+)$`).FindSubmatch(text.Bytes())
+		if m == nil {
+			t.Fatalf("no sample %s in /metrics", series)
+		}
+		v, err := strconv.ParseFloat(string(m[1]), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(v)
+	}
+	for _, op := range []string{"ec_request", "ec_response"} {
+		crossings := sample(`enclave_ecalls_total{op="` + op + `"}`)
+		count := sample(`enclave_ecall_messages_count{op="` + op + `"}`)
+		msgs := sample(`enclave_ecall_messages_sum{op="` + op + `"}`)
+		if count != crossings {
+			t.Fatalf("%s: %d crossings, histogram saw %d", op, crossings, count)
+		}
+		if msgs < ops+1 || msgs < count {
+			t.Fatalf("%s: %d messages over %d crossings, want at least %d", op, msgs, count, ops+1)
+		}
+		t.Logf("%s: %d messages in %d crossings", op, msgs, count)
 	}
 }

@@ -3,6 +3,7 @@ package enclave
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"securekeeper/internal/sgx"
@@ -95,5 +96,48 @@ func BenchmarkEntrySetRequest(b *testing.B) {
 		if _, err := entry.ProcessResponse(resp); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEntryBatch measures a batched SET round trip: k SetData
+// requests through one ec_request crossing and their replies through
+// one ec_response crossing. An op is one batch; ns/msg and allocs/msg
+// show what batching saves per message against msgs=1.
+func BenchmarkEntryBatch(b *testing.B) {
+	for _, k := range []int{1, 8, 40} {
+		b.Run(fmt.Sprintf("msgs=%d", k), func(b *testing.B) {
+			entry, _ := benchEntry(b)
+			payload := make([]byte, 1024)
+			reqs := make([][]byte, k)
+			resps := make([][]byte, k)
+			for i := range reqs {
+				xid := int32(i + 1)
+				reqs[i] = wire.MarshalPair(
+					&wire.RequestHeader{Xid: xid, Op: wire.OpSetData},
+					&wire.SetDataRequest{Path: fmt.Sprintf("/bench/target-%d", i), Data: payload, Version: -1},
+				)
+				resps[i] = wire.MarshalPair(&wire.ReplyHeader{Xid: xid, Err: wire.ErrOK}, &wire.SetDataResponse{})
+			}
+			batch := make([][]byte, k)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(batch, reqs)
+				if _, err := entry.ProcessRequests(batch); err != nil {
+					b.Fatal(err)
+				}
+				copy(batch, resps)
+				if _, err := entry.ProcessResponses(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			msgs := float64(b.N * k)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/msgs, "allocs/msg")
+		})
 	}
 }

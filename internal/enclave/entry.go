@@ -14,6 +14,7 @@
 package enclave
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,7 +52,12 @@ const (
 var (
 	ErrNoPending         = errors.New("enclave: response without pending request")
 	ErrKeyNotProvisioned = errors.New("enclave: storage key not provisioned")
+	ErrMalformedBatch    = errors.New("enclave: malformed batch header")
 )
+
+// MaxBatch bounds the messages one ec_request or ec_response crossing
+// carries.
+const MaxBatch = 64
 
 // pendingOp records one in-flight request in the entry enclave's FIFO
 // queue (§4.2): responses carry no operation type, but the per-client
@@ -60,10 +66,11 @@ var (
 //
 // The server's commit-processor split executes reads concurrently with
 // pending writes, but it deliberately preserves this enclave's two
-// serialization points: OnRequest (ecRequest) is always called from the
-// session reader goroutine in submission order, and OnResponse
-// (ecResponse) from the session writer goroutine in release order,
-// which equals submission order. Execution order is decoupled; queue
+// serialization points: OnRequests (ec_request) is always called from
+// the session reader goroutine in submission order, and OnResponses
+// (ec_response) from the session writer goroutine in release order,
+// which equals submission order; within a batch, messages are
+// transformed in slice order. Execution order is decoupled; queue
 // order is not. TestEnclaveResponseMatchingUnderPipelinedMixedOps and
 // TestResponseXidOrder pin this contract.
 type pendingOp struct {
@@ -102,8 +109,12 @@ func NewEntry(rt *sgx.Runtime) (*Entry, error) {
 		HeapBytes:    entryHeapBytes,
 		Threads:      1,
 		Ecalls: map[string]sgx.EcallFunc{
-			EcallRequest:  en.ecRequest,
-			EcallResponse: en.ecResponse,
+			EcallRequest: func(buf []byte, msgLen int) (int, error) {
+				return ecBatch(en.ecRequest, buf, msgLen)
+			},
+			EcallResponse: func(buf []byte, msgLen int) (int, error) {
+				return ecBatch(en.ecResponse, buf, msgLen)
+			},
 		},
 	}
 	e, err := rt.Create(spec)
@@ -148,40 +159,203 @@ func GrowthHeadroom(msgLen int) int {
 	return msgLen/2 + 512
 }
 
-// ProcessRequest runs a client request (transport-plaintext bytes)
-// through the entry enclave, returning the storage-encrypted message to
-// inject into the replica pipeline.
+// ProcessRequest runs one client request (transport-plaintext bytes)
+// through the entry enclave: a batch of one.
 func (en *Entry) ProcessRequest(msg []byte) ([]byte, error) {
-	return en.call(EcallRequest, msg)
+	return processOne(en.ProcessRequests, msg)
 }
 
-// ProcessResponse runs a replica response through the entry enclave,
-// returning the client-plaintext message (still to be transport-
-// encrypted by the secure channel).
+// ProcessResponse runs one replica response through the entry enclave:
+// a batch of one.
 func (en *Entry) ProcessResponse(msg []byte) ([]byte, error) {
-	return en.call(EcallResponse, msg)
+	return processOne(en.ProcessResponses, msg)
 }
 
-// call runs one ecall with the §5.1 pre-sized buffer contract. The
-// oversized headroom buffer is pooled; the result — which the server
-// pipeline retains in its FIFO queue — is copied out exactly sized.
-func (en *Entry) call(name string, msg []byte) ([]byte, error) {
-	pb := sgx.GetBuf(len(msg) + GrowthHeadroom(len(msg)))
-	copy(pb.B, msg)
-	n, err := en.enclave.Ecall(name, pb.B, len(msg))
+func processOne(batch func([][]byte) ([][]byte, error), msg []byte) ([]byte, error) {
+	one := [1][]byte{msg}
+	out, err := batch(one[:])
 	if err != nil {
-		pb.Release()
 		return nil, err
 	}
-	out := make([]byte, n)
-	copy(out, pb.B[:n])
+	return out[0], nil
+}
+
+// ProcessRequests runs a run of client requests through the entry
+// enclave in one ec_request crossing, returning the storage-encrypted
+// messages to inject into the replica pipeline. The results replace
+// msgs' elements in place. If a message fails, the crossing stops
+// there: the returned prefix holds the messages transformed before it,
+// and the error is the failing message's.
+func (en *Entry) ProcessRequests(msgs [][]byte) ([][]byte, error) {
+	return en.callBatch(EcallRequest, msgs)
+}
+
+// ProcessResponses runs a run of replica responses through the entry
+// enclave in one ec_response crossing, returning the client-plaintext
+// messages (still to be transport-encrypted by the secure channel).
+// Results and failures follow ProcessRequests.
+func (en *Entry) ProcessResponses(msgs [][]byte) ([][]byte, error) {
+	return en.callBatch(EcallResponse, msgs)
+}
+
+// The batch buffer of one crossing (§5.1's pre-sized buffer, per
+// message). Little-endian u32 fields:
+//
+//	in:  count | count × (len, cap) | count regions of cap bytes each,
+//	     the first len bytes of region i holding message i
+//	out: ok    | count × len        | the ok outputs, back to back
+//
+// Each region carries its own headroom (msgCap), so the trusted side
+// grows every message in place exactly as for a single message. The
+// outputs are compacted behind the output header, so the copy-out
+// carries only produced bytes.
+func batchInHeader(n int) int  { return 4 + 8*n }
+func batchOutHeader(n int) int { return 4 + 4*n }
+
+// msgCap is the region capacity of a message of length l: l plus its
+// GrowthHeadroom, rounded up to the pooled buffer size class. That is
+// the room a crossing of this message alone gets from sgx.GetBuf, and
+// growth beyond GrowthHeadroom (a path of many one-character elements
+// grows by ~38 B per element) may rely on the class slack.
+func msgCap(l int) int { return sgx.BufCap(l + GrowthHeadroom(l)) }
+
+// batchLayout returns the buffer size a batch of msgs needs and how
+// many of its leading bytes are copied in (up to the last message's
+// end; the last region's headroom is not).
+func batchLayout(msgs [][]byte) (size, msgLen int) {
+	size = batchInHeader(len(msgs))
+	for _, m := range msgs {
+		msgLen = size + len(m)
+		size += msgCap(len(m))
+	}
+	return size, msgLen
+}
+
+// packBatch writes the input header and messages into buf, sized by
+// batchLayout.
+func packBatch(buf []byte, msgs [][]byte) {
+	binary.LittleEndian.PutUint32(buf, uint32(len(msgs)))
+	off := batchInHeader(len(msgs))
+	for i, m := range msgs {
+		c := msgCap(len(m))
+		binary.LittleEndian.PutUint32(buf[4+8*i:], uint32(len(m)))
+		binary.LittleEndian.PutUint32(buf[8+8*i:], uint32(c))
+		copy(buf[off:], m)
+		off += c
+	}
+}
+
+// callBatch packs msgs into one pooled batch buffer, crosses once, and
+// copies the outputs into one exactly-sized slab: the server pipeline
+// retains request outputs in its FIFO queue, so they must not alias
+// the pooled buffer. Each output is capacity-capped so an append by the
+// caller can never bleed into its neighbour.
+func (en *Entry) callBatch(name string, msgs [][]byte) ([][]byte, error) {
+	n := len(msgs)
+	if n == 0 {
+		return msgs, nil
+	}
+	if n > MaxBatch {
+		return msgs[:0], fmt.Errorf("%w: %d messages, at most %d", ErrMalformedBatch, n, MaxBatch)
+	}
+	size, msgLen := batchLayout(msgs)
+	pb := sgx.GetBuf(size)
+	buf := pb.B[:size]
+	packBatch(buf, msgs)
+	produced, err := en.enclave.Ecall(name, buf, msgLen)
+	if produced < batchOutHeader(n) {
+		pb.Release()
+		return msgs[:0], err
+	}
+	ok := int(binary.LittleEndian.Uint32(buf))
+	if ok > n {
+		pb.Release()
+		return msgs[:0], fmt.Errorf("%w: %d outputs for %d messages", ErrMalformedBatch, ok, n)
+	}
+	out := buf[batchOutHeader(n):produced]
+	slab := make([]byte, len(out))
+	copy(slab, out)
+	pos := 0
+	for i := 0; i < ok; i++ {
+		l := int(binary.LittleEndian.Uint32(buf[4+4*i:]))
+		if pos+l > len(slab) {
+			pb.Release()
+			return msgs[:0], fmt.Errorf("%w: output lengths exceed the copy-out", ErrMalformedBatch)
+		}
+		msgs[i] = slab[pos : pos+l : pos+l]
+		pos += l
+	}
 	pb.Release()
-	return out, nil
+	return msgs[:ok], err
 }
 
 // --- trusted code (runs inside the enclave) ---
 
-// ecRequest is the trusted request-path transformation: deserialize the
+// ecBatch is the trusted side of a batched crossing: it validates the
+// untrusted header (count, lengths and capacities must all lie inside
+// the copied-in buffer), runs fn over each message in order inside its
+// own region, and compacts the outputs behind the output header. It
+// stops at the first message fn rejects and reports the produced
+// prefix together with that error; nothing past the outputs — such as
+// a half-rewritten failing message — is part of the copy-out.
+func ecBatch(fn sgx.EcallFunc, buf []byte, msgLen int) (int, error) {
+	if msgLen < 4 || msgLen > len(buf) {
+		return 0, ErrMalformedBatch
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	if n < 1 || n > MaxBatch || batchInHeader(n) > msgLen {
+		return 0, ErrMalformedBatch
+	}
+	// Parse the whole header first: the compacted outputs overwrite it.
+	var lens, caps [MaxBatch]int
+	off := batchInHeader(n)
+	for i := 0; i < n; i++ {
+		l := int(binary.LittleEndian.Uint32(buf[4+8*i:]))
+		c := int(binary.LittleEndian.Uint32(buf[8+8*i:]))
+		if l > c || c > len(buf)-off || l > msgLen-off {
+			return 0, ErrMalformedBatch
+		}
+		lens[i], caps[i] = l, c
+		off += c
+	}
+	off = batchInHeader(n)
+	pos := batchOutHeader(n)
+	ok := 0
+	var ferr error
+	for ; ok < n; ok++ {
+		region := buf[off : off+caps[ok] : off+caps[ok]]
+		out, err := fn(region, lens[ok])
+		if err != nil {
+			ferr = err
+			break
+		}
+		if out > len(region) {
+			ferr = sgx.ErrBufferOverflow
+			break
+		}
+		// pos <= off always: the output header is smaller than the
+		// input header and every output fits its region, so the move
+		// never overtakes a region not yet processed.
+		copy(buf[pos:], region[:out])
+		lens[ok] = out
+		pos += out
+		off += caps[ok]
+	}
+	binary.LittleEndian.PutUint32(buf, uint32(ok))
+	for i := 0; i < n; i++ {
+		l := 0
+		if i < ok {
+			l = lens[i]
+		}
+		binary.LittleEndian.PutUint32(buf[4+4*i:], uint32(l))
+	}
+	return pos, ferr
+}
+
+// --- trusted code (runs inside the enclave) ---
+
+// ecRequest is the trusted request-path transformation of one message
+// of an ec_request batch: deserialize the
 // plaintext request, encrypt the sensitive fields (path and payload)
 // towards the ZooKeeper data store, remember (xid, op) in the FIFO
 // queue, and serialize the rewritten message.
@@ -370,8 +544,8 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 	return n, nil
 }
 
-// ecResponse is the trusted response-path transformation: deserialize
-// the replica's reply, decrypt sensitive fields, verify payload↔path
+// ecResponse is the trusted response-path transformation of one message
+// of an ec_response batch: deserialize the replica's reply, decrypt sensitive fields, verify payload↔path
 // binding, and serialize the plaintext message for the client.
 func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 	en.mu.Lock()

@@ -30,15 +30,18 @@ import (
 	"securekeeper/internal/ztree"
 )
 
-// Interceptor transforms messages at the connection boundary. The
-// SecureKeeper entry enclave implements it; baselines use Nop.
+// Interceptor transforms messages at the connection boundary, a run
+// of messages per call. The SecureKeeper entry enclave implements it
+// with one enclave crossing per call; baselines use Nop.
 type Interceptor interface {
-	// OnRequest rewrites an inbound client message before it enters
-	// the processing pipeline.
-	OnRequest(msg []byte) ([]byte, error)
-	// OnResponse rewrites an outbound message before transport
-	// encryption.
-	OnResponse(msg []byte) ([]byte, error)
+	// OnRequests rewrites a run of inbound client messages, in order,
+	// before they enter the processing pipeline. It may reuse msgs'
+	// backing array for its result. If a message fails, the result
+	// holds the messages rewritten before it, alongside the error.
+	OnRequests(msgs [][]byte) ([][]byte, error)
+	// OnResponses rewrites a run of outbound messages, in order, before
+	// transport encryption. Results and failures follow OnRequests.
+	OnResponses(msgs [][]byte) ([][]byte, error)
 }
 
 // NopInterceptor passes messages through unchanged (Vanilla and TLS
@@ -47,11 +50,11 @@ type NopInterceptor struct{}
 
 var _ Interceptor = NopInterceptor{}
 
-// OnRequest implements Interceptor.
-func (NopInterceptor) OnRequest(msg []byte) ([]byte, error) { return msg, nil }
+// OnRequests implements Interceptor.
+func (NopInterceptor) OnRequests(msgs [][]byte) ([][]byte, error) { return msgs, nil }
 
-// OnResponse implements Interceptor.
-func (NopInterceptor) OnResponse(msg []byte) ([]byte, error) { return msg, nil }
+// OnResponses implements Interceptor.
+func (NopInterceptor) OnResponses(msgs [][]byte) ([][]byte, error) { return msgs, nil }
 
 // SequenceAppender merges a sequence number into a (possibly encrypted)
 // path during sequential-node creation. The default appends the
@@ -130,6 +133,9 @@ type Replica struct {
 	// would both read the applied cversion and collide.
 	seqMu   sync.Mutex
 	seqHint map[string]int32
+	// proposeMu spans prep plus the hand-off to the zab loop on the
+	// leader (see propose).
+	proposeMu sync.Mutex
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -328,7 +334,7 @@ func (r *Replica) forwardWorker() {
 				r.rejectForward(req.origin)
 				continue
 			}
-			if err := r.peer.Submit(r.prepTxn(req.op, req.body, req.origin.Session), req.origin); err != nil {
+			if err := r.propose(req.op, req.body, req.origin); err != nil {
 				r.rejectForward(req.origin)
 			}
 		}
@@ -540,13 +546,29 @@ func (r *Replica) handleWrite(s *session, entry *inflightReq) {
 // request to it from a follower.
 func (r *Replica) submitOrForward(op wire.OpCode, body []byte, origin zab.Origin) error {
 	if r.peer.Role() == zab.RoleLeading {
-		return r.peer.Submit(r.prepTxn(op, body, origin.Session), origin)
+		return r.propose(op, body, origin)
 	}
 	leader := r.peer.Leader()
 	if leader < 0 {
 		return zab.ErrNotLeader
 	}
 	return r.peer.SendApp(zab.PeerID(leader), encodeForward(op, body, origin))
+}
+
+// propose preps a write and hands it to the leader loop under
+// proposeMu, so the order writes are prepped in — which fixes their
+// sequence numbers, the fencing tokens of lock recipes — is also their
+// zxid order. The lock is held across the hand-off on purpose: the zab
+// loop never takes it, and Enqueue gives up when the peer stops. The
+// loop's verdict is awaited outside the lock.
+func (r *Replica) propose(op wire.OpCode, body []byte, origin zab.Origin) error {
+	r.proposeMu.Lock()
+	sub, err := r.peer.Enqueue(r.prepTxn(op, body, origin.Session), origin)
+	r.proposeMu.Unlock()
+	if err != nil {
+		return err
+	}
+	return sub.Wait()
 }
 
 // prepTxn validates a write into a transaction; validation failures

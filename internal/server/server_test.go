@@ -404,8 +404,8 @@ func TestInterceptorErrorKillsSession(t *testing.T) {
 
 type rejectingInterceptor struct{}
 
-func (rejectingInterceptor) OnRequest(msg []byte) ([]byte, error) {
-	return nil, fmt.Errorf("rejected")
+func (rejectingInterceptor) OnRequests(msgs [][]byte) ([][]byte, error) {
+	return msgs[:0], fmt.Errorf("rejected")
 }
 
-func (rejectingInterceptor) OnResponse(msg []byte) ([]byte, error) { return msg, nil }
+func (rejectingInterceptor) OnResponses(msgs [][]byte) ([][]byte, error) { return msgs, nil }

@@ -76,6 +76,14 @@ func (e *inflightReq) result() ([]byte, bool) {
 	return e.resp, e.state == stateDone
 }
 
+// Batch caps: the reader hands at most this many messages (and bytes,
+// past the first message) to one Interceptor call, and the writer
+// releases at most this many per call.
+const (
+	maxBatchMsgs  = 16
+	maxBatchBytes = 64 << 10
+)
+
 // watchEventBuffer bounds the out-of-band watch notification queue per
 // session; beyond it, events are dropped (watches are one-shot hints,
 // and an unresponsive client must not stall the commit path).
@@ -134,6 +142,11 @@ type session struct {
 	events  chan wire.WatcherEvent
 	stopped chan struct{}
 	writerD chan struct{}
+
+	// Fixed-capacity batch scratch, owned by the reader and the writer
+	// goroutine respectively; part of the session allocation.
+	recvBuf [maxBatchMsgs][]byte
+	sendBuf [maxBatchMsgs][]byte
 }
 
 func newSession(r *Replica, id int64, conn transport.Conn, icept Interceptor) *session {
@@ -191,72 +204,116 @@ func (s *session) run() error {
 	return err
 }
 
+// reader receives frames — every frame already queued on the
+// connection, when it supports batching — and submits them in order.
 func (s *session) reader() error {
 	for {
-		frame, err := s.conn.RecvFrame()
+		frames, err := transport.RecvFrames(s.conn, s.recvBuf[:0], maxBatchMsgs)
+		// Frames received before an error are handled first.
+		stop, herr := s.handleFrames(frames)
+		clear(s.recvBuf[:len(frames)])
+		if herr != nil || stop {
+			return herr
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
 				return nil
 			}
 			return fmt.Errorf("server: session %d recv: %w", s.id, err)
 		}
-		msg, err := s.icept.OnRequest(frame)
-		if err != nil {
-			// The interceptor (entry enclave) rejected the message:
-			// protocol violation or integrity failure; drop the client.
-			return fmt.Errorf("server: session %d intercept: %w", s.id, err)
-		}
-		var hdr wire.RequestHeader
-		d := wire.NewDecoder(msg)
-		if err := hdr.Deserialize(d); err != nil {
-			return fmt.Errorf("server: session %d header: %w", s.id, err)
-		}
-		body := msg[d.Offset():]
+	}
+}
 
-		entry := &inflightReq{xid: hdr.Xid, op: hdr.Op, body: body}
-		// SYNC is agreed like a write: its commit is the flush point.
-		isWrite := hdr.Op.IsWrite() || hdr.Op == wire.OpSync
-		if isWrite {
-			entry.submitNs = obs.Now()
-		}
-
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil
-		}
-		s.queue = append(s.queue, entry)
-		var runNow bool
-		if isWrite {
-			s.writeSeq++
-			entry.seq = s.writeSeq
-		} else {
-			entry.seq = s.writeSeq
-			// Execute immediately unless an earlier write of this
-			// session is still uncommitted, or parked reads are still
-			// draining (the drain worker may be mid-execution of an
-			// earlier read even when parked is empty; overtaking it
-			// would reorder same-session read execution).
-			runNow = s.committedSeq == s.writeSeq && len(s.parked) == 0 && !s.draining
-			if !runNow {
-				entry.park()
-				s.parked = append(s.parked, entry)
+// handleFrames passes frames through the interceptor in runs capped by
+// maxBatchBytes and submits every message it returns, in order. stop
+// reports that the session ended (closed, or a close request was read).
+func (s *session) handleFrames(frames [][]byte) (stop bool, err error) {
+	for len(frames) > 0 {
+		n := batchLen(frames)
+		msgs, ierr := s.icept.OnRequests(frames[:n])
+		for _, msg := range msgs {
+			if stop, err := s.submit(msg); stop || err != nil {
+				return true, err
 			}
 		}
-		s.mu.Unlock()
-
-		switch {
-		case isWrite:
-			s.rep.handleWrite(s, entry)
-		case runNow:
-			entry.complete(s.rep.handleRead(s, entry))
-			s.kick()
+		if ierr != nil {
+			// The interceptor (entry enclave) rejected a message:
+			// protocol violation or integrity failure; drop the client.
+			return true, fmt.Errorf("server: session %d intercept: %w", s.id, ierr)
 		}
-		if hdr.Op == wire.OpCloseSession {
-			// Stop reading; the writer drains the close response.
-			return nil
+		frames = frames[n:]
+	}
+	return false, nil
+}
+
+// batchLen returns how many leading messages form one batch: at most
+// maxBatchMsgs, and at most maxBatchBytes unless the first alone is
+// larger.
+func batchLen(msgs [][]byte) int {
+	n, size := 0, 0
+	for n < len(msgs) && n < maxBatchMsgs {
+		if n > 0 && size+len(msgs[n]) > maxBatchBytes {
+			break
+		}
+		size += len(msgs[n])
+		n++
+	}
+	return n
+}
+
+// submit classifies one intercepted request and starts its execution:
+// writes go to the replica pipeline, reads run now or park behind an
+// uncommitted write of this session. stop reports that the session
+// ended.
+func (s *session) submit(msg []byte) (stop bool, err error) {
+	var hdr wire.RequestHeader
+	d := wire.NewDecoder(msg)
+	if err := hdr.Deserialize(d); err != nil {
+		return true, fmt.Errorf("server: session %d header: %w", s.id, err)
+	}
+	body := msg[d.Offset():]
+
+	entry := &inflightReq{xid: hdr.Xid, op: hdr.Op, body: body}
+	// SYNC is agreed like a write: its commit is the flush point.
+	isWrite := hdr.Op.IsWrite() || hdr.Op == wire.OpSync
+	if isWrite {
+		entry.submitNs = obs.Now()
+	}
+
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return true, nil
+	}
+	s.queue = append(s.queue, entry)
+	var runNow bool
+	if isWrite {
+		s.writeSeq++
+		entry.seq = s.writeSeq
+	} else {
+		entry.seq = s.writeSeq
+		// Execute immediately unless an earlier write of this
+		// session is still uncommitted, or parked reads are still
+		// draining (the drain worker may be mid-execution of an
+		// earlier read even when parked is empty; overtaking it
+		// would reorder same-session read execution).
+		runNow = s.committedSeq == s.writeSeq && len(s.parked) == 0 && !s.draining
+		if !runNow {
+			entry.park()
+			s.parked = append(s.parked, entry)
 		}
 	}
+	s.mu.Unlock()
+
+	switch {
+	case isWrite:
+		s.rep.handleWrite(s, entry)
+	case runNow:
+		entry.complete(s.rep.handleRead(s, entry))
+		s.kick()
+	}
+	// Stop reading after a close; the writer drains its response.
+	return hdr.Op == wire.OpCloseSession, nil
 }
 
 // writeDone records the fate of one of this session's writes: committed
@@ -372,58 +429,52 @@ func (s *session) awaitDrain() {
 	s.mu.Unlock()
 }
 
-// writer is the in-order releaser: it pops completed responses off the
-// head of the FIFO queue and sends them, interleaving watch events. It
-// executes nothing — execution happens on the reader goroutine or the
-// resume pool — so release order (which the entry enclave's
-// response-matching FIFO depends on) is decoupled from execution order.
+// writer is the in-order releaser: it pops the run of completed
+// responses at the head of the FIFO queue and releases it with one
+// interceptor call, interleaving watch events. It executes nothing —
+// execution happens on the reader goroutine or the resume pool — so
+// release order (which the entry enclave's response-matching FIFO
+// depends on) is decoupled from execution order.
 func (s *session) writer() {
 	defer close(s.writerD)
 	for {
-		// Drain due responses.
+		// Release due responses.
 		for {
-			s.mu.Lock()
-			if len(s.queue) == 0 {
-				s.mu.Unlock()
-				break
-			}
-			head := s.queue[0]
-			s.mu.Unlock()
-
-			resp, done := head.result()
-			if !done {
+			resps, closing := s.takeDone(s.sendBuf[:0])
+			if len(resps) == 0 {
 				break // head still executing or awaiting commit; wait for kick
 			}
-			s.mu.Lock()
-			s.queue[0] = nil
-			s.queue = s.queue[1:]
-			if len(s.queue) == 0 {
-				s.queue = nil
-			}
-			s.mu.Unlock()
-			if head.commitNs > 0 {
-				s.rep.commitToRelease.Observe(obs.Now() - head.commitNs)
-			}
-			if !s.send(resp) {
+			ok := s.release(resps)
+			clear(s.sendBuf[:len(resps)])
+			if !ok {
 				return
 			}
-			if head.op == wire.OpCloseSession {
+			if closing {
 				s.shutdown()
 				return
 			}
 		}
-		// Drain watch events.
+		// Release watch events.
 		for {
-			select {
-			case ev := <-s.events:
-				hdr := wire.ReplyHeader{Xid: wire.WatcherEventXid, Err: wire.ErrOK}
-				if !s.send(wire.MarshalPair(&hdr, &ev)) {
-					return
+			evs := s.sendBuf[:0]
+		take:
+			for len(evs) < maxBatchMsgs {
+				select {
+				case ev := <-s.events:
+					hdr := wire.ReplyHeader{Xid: wire.WatcherEventXid, Err: wire.ErrOK}
+					evs = append(evs, wire.MarshalPair(&hdr, &ev))
+				default:
+					break take
 				}
-				continue
-			default:
 			}
-			break
+			if len(evs) == 0 {
+				break
+			}
+			ok := s.release(evs)
+			clear(s.sendBuf[:len(evs)])
+			if !ok {
+				return
+			}
 		}
 		select {
 		case <-s.kickCh:
@@ -433,18 +484,54 @@ func (s *session) writer() {
 	}
 }
 
-// send applies the response interceptor and writes the frame. Returns
-// false when the session is finished.
-func (s *session) send(resp []byte) bool {
-	out, err := s.icept.OnResponse(resp)
-	if err != nil {
-		// The entry enclave refused to release the response (e.g.
+// takeDone pops the run of completed responses at the head of the FIFO
+// queue into dst — at most maxBatchMsgs, and at most maxBatchBytes
+// unless the first alone is larger. closing reports that the run ends
+// with the session's close reply.
+func (s *session) takeDone(dst [][]byte) (resps [][]byte, closing bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	size, k := 0, 0
+	for k < len(s.queue) && len(dst) < maxBatchMsgs {
+		head := s.queue[k]
+		resp, done := head.result()
+		if !done || (k > 0 && size+len(resp) > maxBatchBytes) {
+			break
+		}
+		if head.commitNs > 0 {
+			s.rep.commitToRelease.Observe(obs.Now() - head.commitNs)
+		}
+		dst = append(dst, resp)
+		size += len(resp)
+		k++
+		if head.op == wire.OpCloseSession {
+			closing = true
+			break
+		}
+	}
+	clear(s.queue[:k])
+	s.queue = s.queue[k:]
+	if len(s.queue) == 0 {
+		s.queue = nil
+	}
+	return dst, closing
+}
+
+// release applies the response interceptor to a run of messages and
+// writes the frames in order. Returns false when the session is
+// finished.
+func (s *session) release(resps [][]byte) bool {
+	out, ierr := s.icept.OnResponses(resps)
+	for _, m := range out {
+		if err := s.conn.SendFrame(m); err != nil {
+			return false
+		}
+	}
+	if ierr != nil {
+		// The entry enclave refused to release a response (e.g.
 		// decryption failed in an unrecoverable way): kill the session
 		// rather than leak anything.
 		s.shutdown()
-		return false
-	}
-	if err := s.conn.SendFrame(out); err != nil {
 		return false
 	}
 	return true

@@ -58,13 +58,31 @@ var (
 	stagingPool = newBufPoolSet()
 )
 
-func (s *bufPoolSet) get(n int) *PooledBuf {
+// classOf returns the index of the smallest class holding n bytes, or
+// -1 when n is above the largest class.
+func classOf(n int) int {
 	for i, size := range bufClasses {
 		if n <= size {
-			return s.pools[i].Get().(*PooledBuf)
+			return i
 		}
 	}
+	return -1
+}
+
+func (s *bufPoolSet) get(n int) *PooledBuf {
+	if i := classOf(n); i >= 0 {
+		return s.pools[i].Get().(*PooledBuf)
+	}
 	return &PooledBuf{B: make([]byte, n), class: -1, home: s}
+}
+
+// BufCap returns the length of the buffer GetBuf(n) returns: n rounded
+// up to its size class.
+func BufCap(n int) int {
+	if i := classOf(n); i >= 0 {
+		return bufClasses[i]
+	}
+	return n
 }
 
 // GetBuf returns a pooled buffer with len(B) >= n for untrusted-side

@@ -23,7 +23,9 @@ var (
 // buffer of bufferCap capacity) and returns the new message length. This
 // mirrors the paper's EDL interface (Listing 1): the caller allocates a
 // slightly larger buffer so the enclave can grow the message in place
-// without an untrusted-memory allocator (§5.1).
+// without an untrusted-memory allocator (§5.1). A function that fails
+// part-way may return, with its error, the length of the output it had
+// already produced; that prefix is copied out like a successful result.
 type EcallFunc func(buf []byte, msgLen int) (int, error)
 
 // Measurement identifies enclave code, the MRENCLAVE analogue.
@@ -237,21 +239,18 @@ func (e *Enclave) ecall(name string, buf []byte, msgLen int) (int, error) {
 	inside := pb.B[:len(buf)]
 	copy(inside, buf[:msgLen])
 	newLen, err := fn(inside, msgLen)
-	if err != nil {
-		pb.Release()
-		e.runtime.meter.Charge(cost.CrossingNs)
-		return 0, err
-	}
 	if newLen > len(buf) {
 		pb.Release()
 		e.runtime.meter.Charge(cost.CrossingNs)
 		return 0, fmt.Errorf("%w: need %d, have %d", ErrBufferOverflow, newLen, len(buf))
 	}
-	copy(buf, inside[:newLen])
+	if newLen > 0 {
+		copy(buf, inside[:newLen])
+	}
 	pb.Release()
 	// Exit: copy-out plus crossing.
 	e.runtime.meter.Charge(cost.CrossingNs)
-	return newLen, nil
+	return newLen, err
 }
 
 // Ocall accounts an enclave exit and re-entry (e.g. the trusted code

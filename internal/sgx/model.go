@@ -84,9 +84,12 @@ const (
 // shared by all enclaves, with LRU eviction. It is safe for concurrent
 // use.
 type EPC struct {
-	mu         sync.Mutex
-	capacity   int // pages
-	resident   map[pageID]*pageNode
+	mu       sync.Mutex
+	capacity int // pages
+	resident map[pageID]*pageNode
+	// owned heads each enclave's list of resident pages, so destroying
+	// an enclave visits only its own pages.
+	owned      map[uint64]*pageNode
 	head, tail *pageNode // LRU list: head = most recent
 	faults     int64
 	hits       int64
@@ -99,7 +102,9 @@ type pageID struct {
 
 type pageNode struct {
 	id         pageID
-	prev, next *pageNode
+	prev, next *pageNode // LRU neighbours
+	// ownPrev and ownNext link the pages of the same enclave.
+	ownPrev, ownNext *pageNode
 }
 
 // NewEPC returns an EPC with the given usable byte capacity.
@@ -111,6 +116,7 @@ func NewEPC(usableBytes int64) *EPC {
 	return &EPC{
 		capacity: pages,
 		resident: make(map[pageID]*pageNode, pages),
+		owned:    make(map[uint64]*pageNode),
 	}
 }
 
@@ -131,19 +137,24 @@ func (e *EPC) Access(enclave uint64, page int64) AccessKind {
 	n := &pageNode{id: id}
 	e.resident[id] = n
 	e.pushFront(n)
+	if first := e.owned[enclave]; first != nil {
+		n.ownNext = first
+		first.ownPrev = n
+	}
+	e.owned[enclave] = n
 	return AccessPageFault
 }
 
-// Evict removes all pages of an enclave (enclave destruction).
+// Evict removes all pages of an enclave (enclave destruction). It
+// visits only that enclave's pages.
 func (e *EPC) Evict(enclave uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for id, n := range e.resident {
-		if id.enclave == enclave {
-			e.unlink(n)
-			delete(e.resident, id)
-		}
+	for n := e.owned[enclave]; n != nil; n = n.ownNext {
+		e.unlink(n)
+		delete(e.resident, n.id)
 	}
+	delete(e.owned, enclave)
 }
 
 // Stats returns cumulative hit and fault counts.
@@ -201,6 +212,16 @@ func (e *EPC) evictLocked() {
 	}
 	e.unlink(victim)
 	delete(e.resident, victim.id)
+	if victim.ownPrev != nil {
+		victim.ownPrev.ownNext = victim.ownNext
+	} else if victim.ownNext != nil {
+		e.owned[victim.id.enclave] = victim.ownNext
+	} else {
+		delete(e.owned, victim.id.enclave)
+	}
+	if victim.ownNext != nil {
+		victim.ownNext.ownPrev = victim.ownPrev
+	}
 }
 
 // Meter accumulates virtual time spent on simulated SGX effects, and

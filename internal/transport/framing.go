@@ -8,6 +8,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,6 +38,32 @@ type Conn interface {
 	RecvFrame() ([]byte, error)
 	// Close tears the connection down.
 	Close() error
+}
+
+// BatchReceiver is implemented by connections that can hand over every
+// frame that has already arrived in one call, so a receiver can process
+// a run of pipelined messages together. It is optional: callers type-
+// assert for it and fall back to RecvFrame.
+type BatchReceiver interface {
+	// RecvFrames blocks for the first frame, then appends frames that
+	// are already available without waiting, up to max frames in all.
+	// Frames keep arrival order and are owned by the caller, as with
+	// RecvFrame. On error, the frames appended before it are valid and
+	// must be handled before the error.
+	RecvFrames(dst [][]byte, max int) ([][]byte, error)
+}
+
+// RecvFrames receives through conn's BatchReceiver when it has one;
+// otherwise it appends a single RecvFrame, a batch of one.
+func RecvFrames(conn Conn, dst [][]byte, max int) ([][]byte, error) {
+	if br, ok := conn.(BatchReceiver); ok {
+		return br.RecvFrames(dst, max)
+	}
+	f, err := conn.RecvFrame()
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, f), nil
 }
 
 // frameArena amortizes per-frame buffer allocations: frames are carved
@@ -72,10 +99,16 @@ func (a *frameArena) carve(n int) []byte {
 	return b
 }
 
+// framedReadBuffer sizes a FramedConn's read buffer: a dozen small
+// frames fit, so pipelined requests that arrive in one segment can be
+// handed over as one batch.
+const framedReadBuffer = 16 << 10
+
 // FramedConn wraps a stream connection with 4-byte big-endian length
 // prefixes. Safe for one concurrent reader and one concurrent writer.
 type FramedConn struct {
 	conn      net.Conn
+	rd        *bufio.Reader
 	writeMu   sync.Mutex
 	readMu    sync.Mutex
 	readBuf   [4]byte
@@ -83,11 +116,14 @@ type FramedConn struct {
 	readArena frameArena
 }
 
-var _ Conn = (*FramedConn)(nil)
+var (
+	_ Conn          = (*FramedConn)(nil)
+	_ BatchReceiver = (*FramedConn)(nil)
+)
 
 // NewFramedConn wraps conn with framing.
 func NewFramedConn(conn net.Conn) *FramedConn {
-	return &FramedConn{conn: conn}
+	return &FramedConn{conn: conn, rd: bufio.NewReaderSize(conn, framedReadBuffer)}
 }
 
 // SendFrame implements Conn.
@@ -110,7 +146,35 @@ func (c *FramedConn) SendFrame(payload []byte) error {
 func (c *FramedConn) RecvFrame() ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	if _, err := io.ReadFull(c.conn, c.readBuf[:]); err != nil {
+	return c.recvLocked()
+}
+
+// RecvFrames implements BatchReceiver: after the first frame it takes
+// every complete frame already sitting in the read buffer.
+func (c *FramedConn) RecvFrames(dst [][]byte, max int) ([][]byte, error) {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	f, err := c.recvLocked()
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, f)
+	for n := 1; n < max && c.rd.Buffered() >= 4; n++ {
+		hdr, _ := c.rd.Peek(4)
+		size := binary.BigEndian.Uint32(hdr)
+		if size > MaxFrameSize || c.rd.Buffered() < 4+int(size) {
+			break // incomplete (or oversized: the next read reports it)
+		}
+		if f, err = c.recvLocked(); err != nil {
+			return dst, err
+		}
+		dst = append(dst, f)
+	}
+	return dst, nil
+}
+
+func (c *FramedConn) recvLocked() ([]byte, error) {
+	if _, err := io.ReadFull(c.rd, c.readBuf[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(c.readBuf[:])
@@ -118,7 +182,7 @@ func (c *FramedConn) RecvFrame() ([]byte, error) {
 		return nil, ErrFrameTooLarge
 	}
 	payload := c.readArena.carve(int(n))
-	if _, err := io.ReadFull(c.conn, payload); err != nil {
+	if _, err := io.ReadFull(c.rd, payload); err != nil {
 		return nil, fmt.Errorf("transport: read frame body: %w", err)
 	}
 	return payload, nil
@@ -147,12 +211,20 @@ type ChanConn struct {
 	sendArena frameArena
 }
 
-var _ Conn = (*ChanConn)(nil)
+var (
+	_ Conn          = (*ChanConn)(nil)
+	_ BatchReceiver = (*ChanConn)(nil)
+)
+
+// chanPipeDepth is how many frames each direction of a ChanConn pair
+// buffers, the analogue of a small socket buffer: a pipelining sender
+// runs ahead of its receiver, so runs of frames can form.
+const chanPipeDepth = 16
 
 // NewChanPipe returns two connected in-process connections.
 func NewChanPipe() (*ChanConn, *ChanConn) {
-	ab := make(chan []byte, 1)
-	ba := make(chan []byte, 1)
+	ab := make(chan []byte, chanPipeDepth)
+	ba := make(chan []byte, chanPipeDepth)
 	aClosed := make(chan struct{})
 	bClosed := make(chan struct{})
 	a := &ChanConn{send: ab, recv: ba, closed: aClosed, peerDone: bClosed}
@@ -203,6 +275,25 @@ func (c *ChanConn) RecvFrame() ([]byte, error) {
 			return nil, io.EOF
 		}
 	}
+}
+
+// RecvFrames implements BatchReceiver: after the first frame it takes
+// the frames already queued in the pipe.
+func (c *ChanConn) RecvFrames(dst [][]byte, max int) ([][]byte, error) {
+	f, err := c.RecvFrame()
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, f)
+	for n := 1; n < max; n++ {
+		select {
+		case f := <-c.recv:
+			dst = append(dst, f)
+		default:
+			return dst, nil
+		}
+	}
+	return dst, nil
 }
 
 // Close implements Conn.

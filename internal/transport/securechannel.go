@@ -83,7 +83,10 @@ type SecureConn struct {
 	peer      ed25519.PublicKey
 }
 
-var _ Conn = (*SecureConn)(nil)
+var (
+	_ Conn          = (*SecureConn)(nil)
+	_ BatchReceiver = (*SecureConn)(nil)
+)
 
 // handshakeMsg is the single flight each side sends:
 // ephemeralX25519(32) || ed25519pub(32) || signature(64) over both.
@@ -224,12 +227,38 @@ func (c *SecureConn) RecvFrame() ([]byte, error) {
 		return nil, err
 	}
 	c.recvMu.Lock()
+	plain, err := c.openLocked(sealed)
+	c.recvMu.Unlock()
+	return plain, err
+}
+
+// RecvFrames implements BatchReceiver: the sealed frames are taken in
+// one call (a single frame when the inner connection is not a
+// BatchReceiver) and opened in nonce order. A record that fails
+// authentication ends the batch: the authentic prefix before it is
+// returned together with ErrRecordTampered.
+func (c *SecureConn) RecvFrames(dst [][]byte, max int) ([][]byte, error) {
+	start := len(dst)
+	dst, err := RecvFrames(c.inner, dst, max)
+	c.recvMu.Lock()
+	defer c.recvMu.Unlock()
+	for i := start; i < len(dst); i++ {
+		plain, oerr := c.openLocked(dst[i])
+		if oerr != nil {
+			return dst[:i], oerr
+		}
+		dst[i] = plain
+	}
+	return dst, err
+}
+
+// openLocked opens the next record in place: the inner frame is
+// caller-owned, so its storage is reused for the plaintext handed up.
+// The caller holds recvMu.
+func (c *SecureConn) openLocked(sealed []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvSeq)
 	c.recvSeq++
-	// In-place open: the inner frame is caller-owned, so its storage is
-	// reused for the plaintext handed up.
 	plain, err := c.recvAEAD.Open(sealed[:0], c.recvNonce[:], sealed, nil)
-	c.recvMu.Unlock()
 	if err != nil {
 		return nil, ErrRecordTampered
 	}

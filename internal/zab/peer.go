@@ -93,8 +93,8 @@ type Config struct {
 	// a peer waits for votes or leader liveness before (re)electing.
 	TickInterval    time.Duration
 	ElectionTimeout time.Duration
-	// MaxLogEntries caps the committed log kept for diff syncs; beyond
-	// it followers recover via snapshot.
+	// MaxLogEntries is how many of the newest commits the peer keeps
+	// for diff syncs; followers further behind recover via snapshot.
 	MaxLogEntries int
 	// LastZxid seeds the peer's history position after a restart that
 	// recovered state from disk.
@@ -114,10 +114,10 @@ func (c *Config) withDefaults() Config {
 		out.ElectionTimeout = 120 * time.Millisecond
 	}
 	if out.MaxLogEntries <= 0 {
-		// Bounded both for the O(log) diff-sync copies and for memory:
-		// entries retain their transaction payloads. Followers that
-		// fall further behind recover via snapshot instead.
-		out.MaxLogEntries = 20000
+		// Bounded both for the diff-sync copies and for memory: entries
+		// retain their transaction payloads. Followers that fall
+		// further behind recover via snapshot instead.
+		out.MaxLogEntries = 10000
 	}
 	return out
 }
@@ -240,8 +240,7 @@ type Peer struct {
 	proposals   map[int64]*pendingProposal
 	ppFree      *pendingProposal         // freelist of recycled pendingProposals
 	inflight    map[int64]ProposalRecord // follower: proposals awaiting commit
-	commitLog   []ProposalRecord
-	logBase     int64 // zxid preceding commitLog[0]
+	commitLog   commitRing
 	synced      map[PeerID]struct{}
 	// obsSynced tracks observers that completed the snapshot/diff sync
 	// handshake and now receive the committed stream. Deliberately
@@ -303,8 +302,7 @@ type Peer struct {
 	// (the admin/stats API reads it off the loop goroutine).
 	outDepth atomic.Int32
 	// submitWaiting counts goroutines currently blocked handing a
-	// submission to the loop — the live depth of the (unbuffered)
-	// submit queue.
+	// submission to the loop (the submit queue is full).
 	submitWaiting atomic.Int32
 	// leaderBound is the highest committed bound the leader has
 	// announced to us (COMMIT frames, piggybacked PROPOSE/PING bounds,
@@ -343,7 +341,7 @@ func NewPeer(cfg Config) *Peer {
 		cfg:       c,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-		submit:    make(chan submitReq),
+		submit:    make(chan submitReq, submitQueueDepth),
 		votes:     make(map[PeerID]vote),
 		proposals: make(map[int64]*pendingProposal),
 		inflight:  make(map[int64]ProposalRecord),
@@ -385,8 +383,8 @@ func (p *Peer) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("zab_outstanding_depth", "", "leader proposals awaiting quorum", func() int64 {
 		return int64(p.outDepth.Load())
 	})
-	reg.GaugeFunc("zab_submit_queue_depth", "", "goroutines blocked handing a submission to the zab loop", func() int64 {
-		return int64(p.submitWaiting.Load())
+	reg.GaugeFunc("zab_submit_queue_depth", "", "submissions queued for, or blocked handing off to, the zab loop", func() int64 {
+		return int64(len(p.submit)) + int64(p.submitWaiting.Load())
 	})
 	reg.GaugeFunc("zab_committed_zxid", "", "highest locally delivered zxid", p.LastCommitted)
 	reg.GaugeFunc("zab_leader_committed_zxid", "", "highest committed bound announced by the leader", p.LeaderCommitted)
@@ -465,11 +463,36 @@ var submitErrChPool = sync.Pool{
 	New: func() any { return make(chan error, 1) },
 }
 
+// submitQueueDepth buffers the submit channel. Callers that serialize
+// their hand-offs to fix zxid order (see Enqueue) then do not wait for
+// the loop one by one: a burst queues up, and drainSubmits batches it
+// into one PROPOSE frame.
+const submitQueueDepth = 64
+
 // Submit proposes a transaction. Only valid on the leader; followers
 // get ErrNotLeader and must forward via SendApp instead.
 func (p *Peer) Submit(txn ztree.Txn, origin Origin) error {
+	sub, err := p.Enqueue(txn, origin)
+	if err != nil {
+		return err
+	}
+	return sub.Wait()
+}
+
+// Submission is a transaction the leader loop has taken, awaiting the
+// loop's verdict.
+type Submission struct {
+	p     *Peer
+	errCh chan error
+}
+
+// Enqueue hands a transaction to the leader loop's FIFO submit queue.
+// The loop stamps zxids in queue order, so callers that serialize their
+// Enqueue calls fix the zxid order of their transactions. Wait then
+// returns the loop's verdict.
+func (p *Peer) Enqueue(txn ztree.Txn, origin Origin) (Submission, error) {
 	if p.Role() != RoleLeading {
-		return ErrNotLeader
+		return Submission{}, ErrNotLeader
 	}
 	errCh := submitErrChPool.Get().(chan error)
 	req := submitReq{txn: txn, origin: origin, errCh: errCh}
@@ -477,18 +500,24 @@ func (p *Peer) Submit(txn ztree.Txn, origin Origin) error {
 	select {
 	case p.submit <- req:
 		p.submitWaiting.Add(-1)
+		return Submission{p: p, errCh: errCh}, nil
 	case <-p.stop:
 		p.submitWaiting.Add(-1)
 		if len(errCh) == 0 {
 			submitErrChPool.Put(errCh) // never handed to the loop
 		}
-		return ErrStopped
+		return Submission{}, ErrStopped
 	}
+}
+
+// Wait blocks for the leader loop's verdict on the submission: nil once
+// the transaction is queued for proposal.
+func (s Submission) Wait() error {
 	select {
-	case err := <-req.errCh:
-		submitErrChPool.Put(errCh)
+	case err := <-s.errCh:
+		submitErrChPool.Put(s.errCh)
 		return err
-	case <-p.stop:
+	case <-s.p.stop:
 		return ErrStopped
 	}
 }
@@ -929,22 +958,67 @@ func (p *Peer) lastCommitted() int64 { return atomic.LoadInt64(&p.lastCommit) }
 // diffSince returns the committed proposals after zxid if the log still
 // holds them.
 func (p *Peer) diffSince(zxid int64) ([]ProposalRecord, bool) {
-	if zxid < p.logBase {
+	ring := &p.commitLog
+	if zxid < ring.base {
 		return nil, false
 	}
-	if EpochOf(zxid) != p.epoch && zxid != 0 && len(p.commitLog) == 0 {
+	n := ring.len()
+	if EpochOf(zxid) != p.epoch && zxid != 0 && n == 0 {
 		return nil, false
 	}
-	idx := sort.Search(len(p.commitLog), func(i int) bool {
-		return p.commitLog[i].Txn.Zxid > zxid
+	idx := sort.Search(n, func(i int) bool {
+		return ring.at(i).Txn.Zxid > zxid
 	})
 	// Verify the follower's zxid is actually in our history.
-	if idx > 0 && p.commitLog[idx-1].Txn.Zxid != zxid && zxid != p.logBase {
+	if idx > 0 && ring.at(idx-1).Txn.Zxid != zxid && zxid != ring.base {
 		return nil, false
 	}
-	out := make([]ProposalRecord, len(p.commitLog)-idx)
-	copy(out, p.commitLog[idx:])
+	out := make([]ProposalRecord, n-idx)
+	for i := range out {
+		out[i] = *ring.at(idx + i)
+	}
 	return out, true
+}
+
+// commitRing keeps exactly the newest max committed proposals for diff
+// syncs. It grows to max once, then overwrites its oldest entry per
+// commit, so the hot path never copies the log.
+type commitRing struct {
+	buf  []ProposalRecord
+	head int   // index of the oldest entry once buf is full
+	base int64 // zxid preceding the oldest entry
+}
+
+func (r *commitRing) len() int { return len(r.buf) }
+
+// at returns the i-th oldest entry.
+func (r *commitRing) at(i int) *ProposalRecord {
+	i += r.head
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
+
+// push appends a commit, dropping the oldest once max are held.
+func (r *commitRing) push(rec ProposalRecord, max int) {
+	if len(r.buf) < max {
+		r.buf = append(r.buf, rec)
+		return
+	}
+	r.base = r.buf[r.head].Txn.Zxid
+	r.buf[r.head] = rec
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+}
+
+// reset empties the ring after a snapshot install at zxid base.
+func (r *commitRing) reset(base int64) {
+	clear(r.buf)
+	r.buf = r.buf[:0]
+	r.head = 0
+	r.base = base
 }
 
 func (p *Peer) handleSync(msg Message) {
@@ -961,8 +1035,7 @@ func (p *Peer) handleSync(msg Message) {
 	keep := p.ackFrontier()
 	switch msg.Kind {
 	case KindSyncSnap:
-		p.commitLog = nil
-		p.logBase = msg.Zxid
+		p.commitLog.reset(msg.Zxid)
 		p.lastZxid = msg.Zxid
 		atomic.StoreInt64(&p.lastCommit, msg.Zxid)
 		// Restore after the position update so the application layer
@@ -1500,15 +1573,7 @@ func (p *Peer) deliver(c Committed) {
 	if c.Txn.Zxid > p.lastZxid {
 		p.lastZxid = c.Txn.Zxid
 	}
-	p.commitLog = append(p.commitLog, ProposalRecord{Txn: c.Txn, Origin: c.Origin})
-	if len(p.commitLog) > p.cfg.MaxLogEntries {
-		// Drop half the cap at once: truncating exactly to the cap
-		// would copy the whole log on every commit past it, turning
-		// the hot path O(n).
-		drop := len(p.commitLog) - p.cfg.MaxLogEntries/2
-		p.logBase = p.commitLog[drop-1].Txn.Zxid
-		p.commitLog = append([]ProposalRecord(nil), p.commitLog[drop:]...)
-	}
+	p.commitLog.push(ProposalRecord{Txn: c.Txn, Origin: c.Origin}, p.cfg.MaxLogEntries)
 	p.statsMu.Lock()
 	p.stats.Commits++
 	p.statsMu.Unlock()
