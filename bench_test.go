@@ -333,6 +333,66 @@ func BenchmarkFig8SetContended(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelinedSet is the pipelined write path: SecureKeeper, one
+// session on the leader and one on a follower, each keeping 40 SetAsync
+// of 1 KiB in flight. ns/op and allocs/op are per Set. Unlike the
+// synchronous Fig8Set, writes queue behind each other here, so it
+// gates the leader's hand-off of a run of writes to the zab loop.
+func BenchmarkPipelinedSet(b *testing.B) {
+	const window = 40
+	cluster := newBenchCluster(b, core.SecureKeeper)
+	leader := cluster.LeaderIndex()
+	if leader < 0 {
+		b.Fatal("no leader")
+	}
+	payload := make([]byte, 1024)
+	replicas := []int{leader, (leader + 1) % cluster.Size()}
+	cls := make([]*client.Client, len(replicas))
+	for i, idx := range replicas {
+		cl, err := cluster.Connect(idx, client.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		cls[i] = cl
+		if _, err := cl.Create(ctxbg, fmt.Sprintf("/p%d", i), payload, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i, cl := range cls {
+		n := b.N / len(cls)
+		if i == 0 {
+			n += b.N % len(cls)
+		}
+		wg.Add(1)
+		go func(cl *client.Client, path string, n int) {
+			defer wg.Done()
+			futures := make(chan *client.Future, window-1) // plus the one being awaited
+			var drain sync.WaitGroup
+			drain.Add(1)
+			go func() {
+				defer drain.Done()
+				failed := false // keep draining so the producer never blocks
+				for f := range futures {
+					if res := f.Wait(); res.Err != nil && !failed {
+						failed = true
+						b.Error(res.Err)
+					}
+				}
+			}()
+			for j := 0; j < n; j++ {
+				futures <- cl.SetAsync(path, payload, -1)
+			}
+			close(futures)
+			drain.Wait()
+		}(cl, fmt.Sprintf("/p%d", i), n)
+	}
+	wg.Wait()
+}
+
 // BenchmarkMixedReadWrite is the commit-processor-split workload: 8
 // concurrent sessions each pipeline a 90/10 GET/SET mix against their
 // own znode. Before the split, every read waited to reach the head of

@@ -259,6 +259,7 @@ func NewReplica(cfg Config) *Replica {
 		Snapshot:        r.tree.Snapshot,
 		Restore:         r.restoreFromSync,
 		OnApp:           r.onForwarded,
+		OnReject:        func(origin zab.Origin, _ error) { r.rejectForward(origin) },
 		OnRoleChange:    r.onRoleChange,
 		TickInterval:    cfg.TickInterval,
 		ElectionTimeout: cfg.ElectionTimeout,
@@ -318,8 +319,9 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 // forwardWorker preps and proposes forwarded writes strictly in arrival
 // order (per-session FIFO depends on it). A forwarded write this
 // replica cannot propose — it is not the leader, or not yet activated —
-// is REJECTED back to the origin rather than dropped: the origin stays
-// FOLLOWING throughout a normal leader handover, so it would never
+// is REJECTED back to the origin rather than dropped, whether Propose
+// refuses it up front or the loop later through OnReject: the origin
+// stays FOLLOWING throughout a normal leader handover, so it would never
 // fail the pending client call on a role change, and the client would
 // hang forever on a silently shed request (observed in the
 // multi-process failover harness).
@@ -341,11 +343,13 @@ func (r *Replica) forwardWorker() {
 	}
 }
 
-// rejectForward tells the origin replica a forwarded write will never
-// be proposed, so it fails the pending client call (CONNECTIONLOSS;
-// the client retries, exactly as on a ZooKeeper leader change).
-// Best-effort: if the reject is shed too, the origin's own role-change
-// failure path remains the backstop.
+// rejectForward tells the origin replica a write will never be
+// proposed, so it fails the pending client call (CONNECTIONLOSS; the
+// client retries, exactly as on a ZooKeeper leader change). A write
+// that originated here is failed directly. Best-effort: if the reject
+// is shed too, the origin's own role-change failure path remains the
+// backstop. It is also the peer's OnReject, run on the zab loop
+// goroutine: neither failPending nor SendApp blocks.
 func (r *Replica) rejectForward(origin zab.Origin) {
 	if origin.Peer == r.cfg.ID {
 		r.failPending(origin, wire.ErrConnectionLoss)
@@ -559,16 +563,13 @@ func (r *Replica) submitOrForward(op wire.OpCode, body []byte, origin zab.Origin
 // proposeMu, so the order writes are prepped in — which fixes their
 // sequence numbers, the fencing tokens of lock recipes — is also their
 // zxid order. The lock is held across the hand-off on purpose: the zab
-// loop never takes it, and Enqueue gives up when the peer stops. The
-// loop's verdict is awaited outside the lock.
+// loop never takes it, and Propose gives up when the peer stops. The
+// hand-off is one-way: a write the loop refuses later comes back
+// through OnReject.
 func (r *Replica) propose(op wire.OpCode, body []byte, origin zab.Origin) error {
 	r.proposeMu.Lock()
-	sub, err := r.peer.Enqueue(r.prepTxn(op, body, origin.Session), origin)
-	r.proposeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return sub.Wait()
+	defer r.proposeMu.Unlock()
+	return r.peer.Propose(r.prepTxn(op, body, origin.Session), origin)
 }
 
 // prepTxn validates a write into a transaction; validation failures
@@ -584,9 +585,9 @@ func (r *Replica) prepTxn(op wire.OpCode, body []byte, sessionID int64) ztree.Tx
 
 // onForwarded handles peer application messages: a follower's
 // forwarded write on the leader, or a reject notification back on the
-// origin. Runs on the zab loop goroutine; Submit would deadlock there
-// (it round-trips through the same loop), so requests are queued to
-// the ordered forward worker.
+// origin. Runs on the zab loop goroutine; Propose could block there
+// on a full submit queue that only this loop drains, so requests are
+// queued to the ordered forward worker.
 func (r *Replica) onForwarded(from zab.PeerID, payload []byte) {
 	kind, op, body, origin, err := decodeForward(payload)
 	if err != nil {

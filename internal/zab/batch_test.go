@@ -173,22 +173,6 @@ func TestHandleProposeBatchIgnoresDisorderedTail(t *testing.T) {
 	}
 }
 
-func TestLegacyProposeAcksFrontierNotRawZxid(t *testing.T) {
-	p, leaderBox := followerFixture(t)
-	// (1,1) was shed; a legacy single-record PROPOSE for (1,2) arrives.
-	// The leader reads ACKs cumulatively, so acking (1,2) would vouch
-	// for the missing (1,1) and allow a false quorum.
-	rec := batchRecord(MakeZxid(1, 2), "/b")
-	p.handlePropose(Message{Kind: KindPropose, From: 1, Epoch: 1, Txn: &rec.Txn, Origin: rec.Origin})
-	ack := recvMsg(t, leaderBox)
-	if ack.Kind != KindAck || ack.Zxid != 0 {
-		t.Fatalf("ack zxid = %#x, want 0 (frontier before the gap)", ack.Zxid)
-	}
-	if resync := recvMsg(t, leaderBox); resync.Kind != KindFollowerInfo {
-		t.Fatalf("expected FOLLOWERINFO recovery after gap, got %v", resync.Kind)
-	}
-}
-
 func TestAckFrontierCrossesEpochBoundary(t *testing.T) {
 	p, _ := followerFixture(t)
 	p.epoch = 2

@@ -29,9 +29,10 @@ const (
 	KindSyncSnap
 	KindSyncDiff
 	KindNewLeaderAck
-	// Broadcast. KindPropose carries a single transaction (legacy
-	// single-record path, kept for wire compatibility); the leader
-	// batches submissions into KindProposeBatch frames.
+	// Broadcast. KindPropose is the retired single-record proposal:
+	// its wire value stays reserved so later kinds keep their numbers,
+	// and the decoder rejects it. The leader batches submissions into
+	// KindProposeBatch frames.
 	KindPropose
 	KindProposeBatch
 	KindAck
@@ -124,14 +125,14 @@ type Message struct {
 	VoteZxid  int64
 	VoteReply bool
 
-	// Propose fields. Txn carries a legacy single-record proposal;
-	// Batch carries a multi-record PROPOSE frame in ascending zxid
-	// order. For KindProposeBatch the Zxid field piggybacks the
-	// leader's commit bound so followers can apply without waiting for
-	// a separate COMMIT frame.
-	Txn    *ztree.Txn
-	Origin Origin
-	Batch  []ProposalRecord
+	// Propose fields. Batch carries a multi-record PROPOSE frame in
+	// ascending zxid order, and the Zxid field piggybacks the leader's
+	// commit bound so followers can apply without waiting for a
+	// separate COMMIT frame. Txn is never set: it belonged to the
+	// retired KindPropose and stays only for the benchmark's trace tap,
+	// which still reads it.
+	Txn   *ztree.Txn
+	Batch []ProposalRecord
 
 	// Sync fields. Config piggybacks the leader's encoded membership
 	// (see Membership.Encode) on every sync answer, so a joiner that

@@ -86,6 +86,12 @@ type Config struct {
 	// OnApp receives application messages tunneled between replicas
 	// (the server layer's request forwarding). Must not block.
 	OnApp func(from PeerID, payload []byte)
+	// OnReject receives the loop's refusal of a transaction handed over
+	// with Propose: the peer stopped leading or was not yet activated
+	// while the transaction was queued, or the peer stopped with it
+	// still queued (ErrStopped). Called from the loop goroutine, once
+	// per refused transaction. Must not block.
+	OnReject func(origin Origin, err error)
 	// OnRoleChange is invoked when the peer's role or known leader
 	// changes. Optional.
 	OnRoleChange func(role Role, leader PeerID)
@@ -213,7 +219,9 @@ func (p *Peer) putPendingProposal(pp *pendingProposal) {
 type submitReq struct {
 	txn    ztree.Txn
 	origin Origin
-	errCh  chan error
+	// verdict carries the loop's answer back to Submit; nil for
+	// Propose, whose refusals go to Config.OnReject.
+	verdict chan error
 }
 
 // Peer is one replica's instance of the atomic broadcast protocol. Start
@@ -226,6 +234,10 @@ type Peer struct {
 	stop   chan struct{}
 	done   chan struct{}
 	submit chan submitReq
+	// submitMu is held shared across every hand-off onto submit and
+	// exclusively by the loop's exit drain (refuseQueued), so no
+	// submission can land in the queue after that drain.
+	submitMu sync.RWMutex
 
 	// Loop-owned state (no locking needed inside the loop).
 	round       int64
@@ -310,9 +322,11 @@ type Peer struct {
 	// stats API to compute commit lag.
 	leaderBound atomic.Int64
 
-	// proposeToAck is the propose→quorum-ack latency histogram (nil
-	// no-op without a registry).
-	proposeToAck *obs.Histogram
+	// proposeToAck is the propose→quorum-ack latency histogram and
+	// submitRejected counts refusals reported through OnReject (both
+	// nil no-ops without a registry).
+	proposeToAck   *obs.Histogram
+	submitRejected *obs.Counter
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -380,6 +394,7 @@ func (p *Peer) registerMetrics(reg *obs.Registry) {
 		return
 	}
 	p.proposeToAck = reg.Histogram("zab_propose_to_ack_seconds", "", "leader accept to quorum ack, per proposal")
+	p.submitRejected = reg.Counter("zab_submit_rejected_total", "", "proposed transactions the leader loop refused (reported through OnReject)")
 	reg.GaugeFunc("zab_outstanding_depth", "", "leader proposals awaiting quorum", func() int64 {
 		return int64(p.outDepth.Load())
 	})
@@ -455,70 +470,81 @@ func (p *Peer) StatsSnapshot() Stats {
 	return p.stats
 }
 
-// submitErrChPool recycles the per-Submit reply channels. A channel is
-// only returned to the pool after its single buffered reply has been
-// consumed; channels abandoned on the stop path (which may still
-// receive a late reply) are left to the garbage collector.
-var submitErrChPool = sync.Pool{
-	New: func() any { return make(chan error, 1) },
-}
-
 // submitQueueDepth buffers the submit channel. Callers that serialize
-// their hand-offs to fix zxid order (see Enqueue) then do not wait for
+// their hand-offs to fix zxid order (see Propose) then do not wait for
 // the loop one by one: a burst queues up, and drainSubmits batches it
 // into one PROPOSE frame.
 const submitQueueDepth = 64
 
-// Submit proposes a transaction. Only valid on the leader; followers
-// get ErrNotLeader and must forward via SendApp instead.
+// Propose hands a transaction to the leader loop's FIFO submit queue
+// and returns without waiting for the loop. The loop stamps zxids in
+// queue order, so callers that serialize their Propose calls fix the
+// zxid order of their transactions. Propose fails up front only when
+// the peer is not leading (ErrNotLeader) or has stopped (ErrStopped);
+// a refusal by the loop itself goes to Config.OnReject. Followers must
+// forward via SendApp instead.
+func (p *Peer) Propose(txn ztree.Txn, origin Origin) error {
+	return p.enqueue(submitReq{txn: txn, origin: origin})
+}
+
+// Submit is the blocking form of Propose: it waits for the loop's
+// verdict, nil once the transaction is queued for proposal, and
+// returns a refusal instead of reporting it to Config.OnReject.
 func (p *Peer) Submit(txn ztree.Txn, origin Origin) error {
-	sub, err := p.Enqueue(txn, origin)
-	if err != nil {
+	verdict := make(chan error, 1)
+	if err := p.enqueue(submitReq{txn: txn, origin: origin, verdict: verdict}); err != nil {
 		return err
 	}
-	return sub.Wait()
+	return <-verdict // refuseQueued answers even if the loop stops first
 }
 
-// Submission is a transaction the leader loop has taken, awaiting the
-// loop's verdict.
-type Submission struct {
-	p     *Peer
-	errCh chan error
-}
-
-// Enqueue hands a transaction to the leader loop's FIFO submit queue.
-// The loop stamps zxids in queue order, so callers that serialize their
-// Enqueue calls fix the zxid order of their transactions. Wait then
-// returns the loop's verdict.
-func (p *Peer) Enqueue(txn ztree.Txn, origin Origin) (Submission, error) {
+func (p *Peer) enqueue(req submitReq) error {
 	if p.Role() != RoleLeading {
-		return Submission{}, ErrNotLeader
+		return ErrNotLeader
 	}
-	errCh := submitErrChPool.Get().(chan error)
-	req := submitReq{txn: txn, origin: origin, errCh: errCh}
+	p.submitMu.RLock()
+	defer p.submitMu.RUnlock()
+	select {
+	case <-p.stop:
+		return ErrStopped // the exit drain may already have run
+	default:
+	}
 	p.submitWaiting.Add(1)
+	defer p.submitWaiting.Add(-1)
 	select {
 	case p.submit <- req:
-		p.submitWaiting.Add(-1)
-		return Submission{p: p, errCh: errCh}, nil
+		return nil
 	case <-p.stop:
-		p.submitWaiting.Add(-1)
-		if len(errCh) == 0 {
-			submitErrChPool.Put(errCh) // never handed to the loop
-		}
-		return Submission{}, ErrStopped
+		return ErrStopped
 	}
 }
 
-// Wait blocks for the leader loop's verdict on the submission: nil once
-// the transaction is queued for proposal.
-func (s Submission) Wait() error {
-	select {
-	case err := <-s.errCh:
-		submitErrChPool.Put(s.errCh)
-		return err
-	case <-s.p.stop:
-		return ErrStopped
+// answer delivers the loop's verdict on one submission: to the waiting
+// Submit call, or, for a refused Propose, to Config.OnReject.
+func (p *Peer) answer(req submitReq, err error) {
+	switch {
+	case req.verdict != nil:
+		req.verdict <- err
+	case err != nil:
+		p.submitRejected.Inc()
+		if p.cfg.OnReject != nil {
+			p.cfg.OnReject(req.origin, err)
+		}
+	}
+}
+
+// refuseQueued answers every submission still queued when the loop
+// exits with ErrStopped, so no hand-off is left without a verdict.
+func (p *Peer) refuseQueued() {
+	p.submitMu.Lock()
+	defer p.submitMu.Unlock()
+	for {
+		select {
+		case req := <-p.submit:
+			p.answer(req, ErrStopped)
+		default:
+			return
+		}
 	}
 }
 
@@ -542,6 +568,10 @@ func (p *Peer) setRole(role Role, leader PeerID) {
 
 func (p *Peer) run() {
 	defer close(p.done)
+	defer p.refuseQueued()
+	// A stopped peer neither leads nor follows. Saying so lets the host
+	// fail the writes whose fate it can no longer learn.
+	defer p.setRole(RoleLooking, -1)
 	ticker := time.NewTicker(p.cfg.TickInterval)
 	defer ticker.Stop()
 
@@ -1141,12 +1171,12 @@ func (p *Peer) replayOutstanding(to PeerID) {
 // single multi-record PROPOSE frame per follower.
 func (p *Peer) handleSubmit(req submitReq) {
 	if p.Role() != RoleLeading {
-		req.errCh <- ErrNotLeader
+		p.answer(req, ErrNotLeader)
 		return
 	}
 	if len(p.synced) < p.quorum() {
-		req.errCh <- fmt.Errorf("zab: leader not yet activated (%d/%d synced): %w",
-			len(p.synced), p.quorum(), ErrNotLeader)
+		p.answer(req, fmt.Errorf("zab: leader not yet activated (%d/%d synced): %w",
+			len(p.synced), p.quorum(), ErrNotLeader))
 		return
 	}
 	p.counter++
@@ -1165,7 +1195,7 @@ func (p *Peer) handleSubmit(req submitReq) {
 	p.statsMu.Lock()
 	p.stats.Proposals++
 	p.statsMu.Unlock()
-	req.errCh <- nil
+	p.answer(req, nil)
 }
 
 // maxDrainRounds bounds how many scheduler yields one batch window
@@ -1173,13 +1203,12 @@ func (p *Peer) handleSubmit(req submitReq) {
 const maxDrainRounds = 4
 
 // drainSubmits accumulates concurrently-submitted transactions into the
-// current batch. A submitter unblocks the moment its request is
-// accepted, so under contention the next submissions are typically
-// being *scheduled* rather than already queued; yielding between drain
-// rounds lets runnable submitters enqueue, which is what makes batches
-// actually form. The window closes after a round that found nothing, so
-// a lone writer pays only one scheduler yield before its single-record
-// frame flushes.
+// current batch. Under contention the next submissions are typically
+// still being prepped by runnable submitters rather than already
+// queued; yielding between drain rounds lets them enqueue, which is
+// what makes batches actually form. The window closes after a round
+// that found nothing, so a lone writer pays only one scheduler yield
+// before its single-record frame flushes.
 func (p *Peer) drainSubmits() {
 	p.drainOnce()
 	for rounds := 0; rounds < maxDrainRounds; rounds++ {
@@ -1230,32 +1259,6 @@ func (p *Peer) flushProposals() {
 		p.statsMu.Lock()
 		p.stats.ProposeFrames += frames
 		p.statsMu.Unlock()
-	}
-}
-
-// handlePropose accepts a legacy single-record proposal. The in-repo
-// leader always sends batches; this path remains for wire compatibility
-// with single-record peers. Like the batch path it acks the contiguous
-// frontier, never the raw zxid: the leader interprets ACKs
-// cumulatively, so acking past a gap would vouch for proposals this
-// follower does not hold.
-func (p *Peer) handlePropose(msg Message) {
-	if p.Role() != RoleFollowing || msg.From != p.followTarget || msg.Txn == nil {
-		return
-	}
-	p.lastHeard[msg.From] = time.Now()
-	zxid := msg.Txn.Zxid
-	if zxid <= p.lastCommitted() {
-		return // duplicate of an already-committed proposal
-	}
-	p.inflight[zxid] = ProposalRecord{Txn: *msg.Txn, Origin: msg.Origin}
-	if zxid > p.lastZxid {
-		p.lastZxid = zxid
-	}
-	frontier := p.ackFrontier()
-	_ = p.cfg.Transport.Send(msg.From, Message{Kind: KindAck, Zxid: frontier})
-	if frontier < zxid {
-		p.resync() // an earlier proposal was shed; recover now
 	}
 }
 
@@ -1711,8 +1714,6 @@ func (p *Peer) handle(msg Message) {
 		p.handleSync(msg)
 	case KindNewLeaderAck:
 		p.handleNewLeaderAck(msg)
-	case KindPropose:
-		p.handlePropose(msg)
 	case KindProposeBatch:
 		p.handleProposeBatch(msg)
 	case KindAck:

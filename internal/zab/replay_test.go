@@ -22,9 +22,9 @@ func TestNewLeaderAckReplaysOutstanding(t *testing.T) {
 	p.becomeLeader()
 	p.synced[3] = struct{}{}
 	for i := 1; i <= 2; i++ {
-		req := submitReq{txn: createTxn(i), errCh: make(chan error, 1)}
+		req := submitReq{txn: createTxn(i), verdict: make(chan error, 1)}
 		p.handleSubmit(req)
-		if err := <-req.errCh; err != nil {
+		if err := <-req.verdict; err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}

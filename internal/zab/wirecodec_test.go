@@ -39,7 +39,6 @@ func sampleMessages() []Message {
 			{Txn: txn2, Origin: origin},
 		}},
 		{Kind: KindNewLeaderAck, Zxid: MakeZxid(3, 8)},
-		{Kind: KindPropose, Epoch: 3, Txn: &txn, Origin: origin},
 		{Kind: KindProposeBatch, Epoch: 3, Zxid: MakeZxid(3, 6), Batch: []ProposalRecord{
 			{Txn: txn, Origin: origin},
 			{Txn: txn2, Origin: origin},
@@ -50,6 +49,23 @@ func sampleMessages() []Message {
 		{Kind: KindPong, Zxid: MakeZxid(3, 7)},
 		{Kind: KindApp, App: []byte("tunneled request")},
 	}
+}
+
+// retiredProposeFrame encodes a retired single-record PROPOSE as its
+// senders framed it: the header, a presence flag, the txn, then the
+// origin (peer, session, xid).
+func retiredProposeFrame() []byte {
+	e := wire.NewEncoder(64)
+	e.WriteInt32(int32(KindPropose))
+	e.WriteInt64(3)
+	e.WriteInt64(0)
+	e.WriteBool(true)
+	txn := ztree.Txn{Zxid: MakeZxid(3, 7), Type: ztree.TxnCreate, Path: "/a/b", Data: []byte("payload")}
+	txn.Serialize(e)
+	e.WriteInt64(2)
+	e.WriteInt64(99)
+	e.WriteInt32(41)
+	return append([]byte(nil), e.Bytes()...)
 }
 
 func TestMessageWireRoundTripAllKinds(t *testing.T) {
@@ -66,6 +82,17 @@ func TestMessageWireRoundTripAllKinds(t *testing.T) {
 			}
 		})
 	}
+	// The retired kind does not round-trip: neither what the encoder
+	// now writes for it nor the frame its senders used decodes.
+	t.Run(KindPropose.String(), func(t *testing.T) {
+		retired := Message{Kind: KindPropose, Epoch: 3}
+		for _, buf := range [][]byte{wire.Marshal(&retired), retiredProposeFrame()} {
+			var got Message
+			if err := wire.Unmarshal(buf, &got); err == nil {
+				t.Fatalf("retired PROPOSE frame (%d bytes) decoded as %+v", len(buf), got)
+			}
+		}
+	})
 }
 
 // TestMessageWireTruncated feeds every prefix of every kind's encoding
@@ -84,6 +111,17 @@ func TestMessageWireTruncated(t *testing.T) {
 			}
 		})
 	}
+	// No prefix of a retired PROPOSE frame decodes, the whole frame
+	// included.
+	t.Run(KindPropose.String(), func(t *testing.T) {
+		buf := retiredProposeFrame()
+		for n := 0; n <= len(buf); n++ {
+			var got Message
+			if err := wire.Unmarshal(buf[:n], &got); err == nil {
+				t.Fatalf("retired PROPOSE prefix (%d/%d bytes) decoded without error", n, len(buf))
+			}
+		}
+	})
 }
 
 func TestMessageWireAdversarial(t *testing.T) {

@@ -23,6 +23,7 @@ type harness struct {
 
 	mu        sync.Mutex
 	delivered map[PeerID][]int64 // zxids in delivery order
+	rejects   map[PeerID]int     // OnReject calls per peer
 }
 
 func newHarness(t *testing.T, n int) *harness {
@@ -39,6 +40,7 @@ func newObserverHarness(t *testing.T, nVoters, nObs int) *harness {
 		peers:     make(map[PeerID]*Peer, nVoters+nObs),
 		trees:     make(map[PeerID]*ztree.Tree, nVoters+nObs),
 		delivered: make(map[PeerID][]int64, nVoters+nObs),
+		rejects:   make(map[PeerID]int, nVoters+nObs),
 	}
 	for i := 0; i < nVoters; i++ {
 		h.voters = append(h.voters, PeerID(i+1))
@@ -66,6 +68,11 @@ func (h *harness) startPeer(id PeerID) {
 			tree.Apply(&c.Txn)
 			h.mu.Lock()
 			h.delivered[id] = append(h.delivered[id], c.Txn.Zxid)
+			h.mu.Unlock()
+		},
+		OnReject: func(Origin, error) {
+			h.mu.Lock()
+			h.rejects[id]++
 			h.mu.Unlock()
 		},
 		Snapshot:        tree.Snapshot,

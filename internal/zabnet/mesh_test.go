@@ -6,9 +6,11 @@ import (
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"securekeeper/internal/obs"
 	"securekeeper/internal/transport"
 	"securekeeper/internal/wire"
 	"securekeeper/internal/zab"
@@ -437,14 +439,53 @@ func TestZabTCPResyncAfterGap(t *testing.T) {
 	}
 }
 
-// TestMeshOutboxOverflowSheds fills a link's outbox (no reader on the
-// other side drains it synchronously) and checks Send degrades to an
-// error rather than blocking.
+// stallListener hands out connections whose reads block while it is
+// stalled, so a test can hold back the receiving side of a link and
+// let TCP backpressure reach the sender.
+type stallListener struct {
+	net.Listener
+	stalled atomic.Bool
+	release chan struct{}
+}
+
+func (l *stallListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return stallConn{Conn: c, l: l}, nil
+}
+
+type stallConn struct {
+	net.Conn
+	l *stallListener
+}
+
+func (c stallConn) Read(b []byte) (int, error) {
+	if c.l.stalled.Load() {
+		<-c.l.release
+	}
+	return c.Conn.Read(b)
+}
+
+// TestMeshOutboxOverflowSheds stalls the receiving side of a link and
+// checks Send degrades to shedding rather than blocking: once the
+// socket buffers are full the writer blocks in its TCP write, the
+// 4-frame outbox fills, and the burst must be shed.
 func TestMeshOutboxOverflowSheds(t *testing.T) {
-	meshes := newTestMeshes(t, 2, func(c *Config) { c.OutboxFrames = 4 })
+	gate := &stallListener{release: make(chan struct{})}
+	meshes := newTestMeshes(t, 2, func(c *Config) {
+		c.OutboxFrames = 4
+		c.Obs = obs.NewRegistry()
+		if c.ID == 1 { // peer 2 dials peer 1, so peer 1 reads accepted conns
+			gate.Listener = c.Listener
+			c.Listener = gate
+		}
+	})
+	t.Cleanup(func() { close(gate.release) }) // before the meshes close
 	waitConnected(t, meshes)
-	// The writer drains frames into the TCP buffer, so overflow needs a
-	// burst larger than outbox + socket buffering can absorb at once.
+	gate.stalled.Store(true)
+	// 64 x 512 KiB outruns the outbox plus any socket buffering.
 	var sawShed bool
 	payload := bytes.Repeat([]byte{0xee}, 512<<10)
 	for i := 0; i < 64; i++ {
@@ -455,5 +496,8 @@ func TestMeshOutboxOverflowSheds(t *testing.T) {
 	}
 	if !sawShed {
 		t.Fatal("outbox overflow must shed, not queue unboundedly")
+	}
+	if n := meshes[1].outboxShed.Value(); n == 0 {
+		t.Fatal("Send failed, but not by shedding a full outbox")
 	}
 }
