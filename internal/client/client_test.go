@@ -212,8 +212,7 @@ func TestClientWatchCallback(t *testing.T) {
 	srv.wg.Add(1)
 	go func() { defer srv.wg.Done(); srv.serve() }()
 
-	events := make(chan wire.WatcherEvent, 1)
-	cl, err := NewSession(a, Options{OnEvent: func(ev wire.WatcherEvent) { events <- ev }})
+	cl, err := NewSession(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +221,17 @@ func TestClientWatchCallback(t *testing.T) {
 		srv.wg.Wait()
 	}()
 
-	srv.sendEvent(wire.WatcherEvent{Type: wire.EventNodeCreated, Path: "/born"})
+	// GetW on a missing node leaves an existence watch that fires on
+	// the node's creation.
+	_, _, w, err := cl.GetW(ctxbg, "/missing")
+	var pe *wire.ProtocolError
+	if !errors.As(err, &pe) || pe.Code != wire.ErrNoNode {
+		t.Fatalf("GetW /missing: err = %v, want NONODE", err)
+	}
+	srv.sendEvent(wire.WatcherEvent{Type: wire.EventNodeCreated, Path: "/missing"})
 	select {
-	case ev := <-events:
-		if ev.Type != wire.EventNodeCreated || ev.Path != "/born" {
+	case ev := <-w.Events():
+		if ev.Type != wire.EventNodeCreated || ev.Path != "/missing" {
 			t.Fatalf("event = %+v", ev)
 		}
 	case <-time.After(5 * time.Second):

@@ -184,8 +184,9 @@ func TestMultiOverTCPEnsemble(t *testing.T) {
 	for _, v := range []Variant{Vanilla, SecureKeeper} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			nodes := newTCPNodeEnsemble(t, 3, v)
-			leader := tcpEnsembleLeader(t, nodes)
+			e := newTCPTopoEnsemble(t, v, 3, 0)
+			nodes := e.startVoters()
+			leader := e.leader()
 			cl, err := leader.Connect(client.Options{})
 			if err != nil {
 				t.Fatal(err)

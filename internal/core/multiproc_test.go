@@ -441,59 +441,6 @@ func waitForCond(t *testing.T, timeout time.Duration, what string, cond func() b
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// newTCPNodeEnsemble builds n Nodes in-process whose replicas talk
-// zab over real TCP meshes on ephemeral ports.
-func newTCPNodeEnsemble(t *testing.T, n int, v Variant) []*Node {
-	t.Helper()
-	listeners := make([]net.Listener, n)
-	peers := make(map[zab.PeerID]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		peers[zab.PeerID(i+1)] = ln.Addr().String()
-	}
-	var key []byte
-	if v == SecureKeeper {
-		key = bytes.Repeat([]byte{0x42}, 16)
-	}
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(NodeConfig{
-			Variant:         v,
-			ID:              zab.PeerID(i + 1),
-			Topology:        VoterTopology(peers),
-			MeshListener:    listeners[i],
-			StorageKey:      key,
-			TickInterval:    5 * time.Millisecond,
-			ElectionTimeout: 250 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(node.Close)
-		nodes[i] = node
-	}
-	return nodes
-}
-
-func tcpEnsembleLeader(t *testing.T, nodes []*Node) *Node {
-	t.Helper()
-	var leader *Node
-	waitForCond(t, 15*time.Second, "TCP-mesh ensemble leader", func() bool {
-		for _, n := range nodes {
-			if n.IsLeader() {
-				leader = n
-				return true
-			}
-		}
-		return false
-	})
-	return leader
-}
-
 // TestTCPMeshServesAllVariants runs a quick create/set/get round over
 // the TCP mesh for every variant (SecureKeeper with a shared storage
 // key, the multi-process provisioning path).
@@ -501,8 +448,9 @@ func TestTCPMeshServesAllVariants(t *testing.T) {
 	for _, v := range []Variant{Vanilla, TLS, SecureKeeper} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			nodes := newTCPNodeEnsemble(t, 3, v)
-			leader := tcpEnsembleLeader(t, nodes)
+			e := newTCPTopoEnsemble(t, v, 3, 0)
+			nodes := e.startVoters()
+			leader := e.leader()
 			cl, err := leader.Connect(client.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -540,8 +488,9 @@ func TestTCPMeshBatchingContended(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contended workload in -short mode")
 	}
-	nodes := newTCPNodeEnsemble(t, 3, Vanilla)
-	leader := tcpEnsembleLeader(t, nodes)
+	e := newTCPTopoEnsemble(t, Vanilla, 3, 0)
+	e.startVoters()
+	leader := e.leader()
 
 	const clients = 16
 	const opsPerClient = 100

@@ -15,28 +15,34 @@ import (
 	"securekeeper/internal/zab"
 )
 
-// tcpTopoEnsemble builds Nodes over a real TCP mesh from an explicit
-// voter/observer topology, letting tests start members at different
-// times (a late-joining observer must snapshot-sync).
+// tcpTopoEnsemble builds Nodes of one variant over a real TCP mesh
+// from an explicit voter/observer topology, letting tests start members
+// at different times (a late-joining observer must snapshot-sync).
 type tcpTopoEnsemble struct {
-	t         *testing.T
-	topo      Topology
-	listeners map[zab.PeerID]net.Listener
+	t          *testing.T
+	variant    Variant
+	storageKey []byte // SecureKeeper: the key every member shares
+	topo       Topology
+	listeners  map[zab.PeerID]net.Listener
 
 	mu    sync.Mutex
 	nodes map[zab.PeerID]*Node
 }
 
-func newTCPTopoEnsemble(t *testing.T, nVoters, nObs int) *tcpTopoEnsemble {
+func newTCPTopoEnsemble(t *testing.T, v Variant, nVoters, nObs int) *tcpTopoEnsemble {
 	t.Helper()
 	e := &tcpTopoEnsemble{
-		t: t,
+		t:       t,
+		variant: v,
 		topo: Topology{
 			Voters:    make(map[zab.PeerID]string),
 			Observers: make(map[zab.PeerID]string),
 		},
 		listeners: make(map[zab.PeerID]net.Listener),
 		nodes:     make(map[zab.PeerID]*Node),
+	}
+	if v == SecureKeeper {
+		e.storageKey = bytes.Repeat([]byte{0x42}, 16)
 	}
 	for i := 0; i < nVoters+nObs; i++ {
 		id := zab.PeerID(i + 1)
@@ -66,13 +72,19 @@ func newTCPTopoEnsemble(t *testing.T, nVoters, nObs int) *tcpTopoEnsemble {
 }
 
 // start brings member id up (idempotent per id; tests control timing).
-func (e *tcpTopoEnsemble) start(id zab.PeerID) *Node {
+func (e *tcpTopoEnsemble) start(id zab.PeerID) *Node { return e.startIn(id, e.topo) }
+
+// startIn brings member id up under its own view of the ensemble, which
+// may differ from e.topo (a reconfig joiner's seed members do not list
+// it yet).
+func (e *tcpTopoEnsemble) startIn(id zab.PeerID, topo Topology) *Node {
 	e.t.Helper()
 	node, err := NewNode(NodeConfig{
-		Variant:         Vanilla,
+		Variant:         e.variant,
 		ID:              id,
-		Topology:        e.topo,
+		Topology:        topo,
 		MeshListener:    e.listeners[id],
+		StorageKey:      e.storageKey,
 		TickInterval:    5 * time.Millisecond,
 		ElectionTimeout: 250 * time.Millisecond,
 	})
@@ -93,16 +105,34 @@ func (e *tcpTopoEnsemble) startVoters() []*Node {
 	return nodes
 }
 
+// leader waits until one of the started members leads and returns it.
+func (e *tcpTopoEnsemble) leader() *Node {
+	e.t.Helper()
+	var leader *Node
+	waitForCond(e.t, 15*time.Second, "TCP-mesh ensemble leader", func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		for _, n := range e.nodes {
+			if n.IsLeader() {
+				leader = n
+				return true
+			}
+		}
+		return false
+	})
+	return leader
+}
+
 // TestTCPMeshObserversServeReadsAndForwardWrites is the tentpole's
 // acceptance shape: a 3-voter + 2-observer ensemble over real TCP
 // meshes. Observers tail the leader's commit stream, serve reads and
 // watches from their replayed tree, forward writes to the leader, and
 // stay OBSERVING throughout.
 func TestTCPMeshObserversServeReadsAndForwardWrites(t *testing.T) {
-	e := newTCPTopoEnsemble(t, 3, 2)
-	voters := e.startVoters()
+	e := newTCPTopoEnsemble(t, Vanilla, 3, 2)
+	e.startVoters()
 	obs4, obs5 := e.start(4), e.start(5)
-	leader := tcpEnsembleLeader(t, voters)
+	leader := e.leader()
 
 	// Observers settle into OBSERVING behind the leader.
 	for _, o := range []*Node{obs4, obs5} {
@@ -174,9 +204,9 @@ func TestTCPMeshObserversServeReadsAndForwardWrites(t *testing.T) {
 // the ensemble has committed state must catch up (snapshot/diff sync
 // from its committed frontier) and then tail live commits.
 func TestTCPMeshLateObserverSnapshotSyncs(t *testing.T) {
-	e := newTCPTopoEnsemble(t, 3, 1)
-	voters := e.startVoters()
-	leader := tcpEnsembleLeader(t, voters)
+	e := newTCPTopoEnsemble(t, Vanilla, 3, 1)
+	e.startVoters()
+	leader := e.leader()
 
 	cl, err := leader.Connect(client.Options{})
 	if err != nil {
@@ -258,10 +288,10 @@ func serveNodeTCP(t *testing.T, n *Node) string {
 // Leader lands on the leader, ObserverOnly lands on an observer, and
 // an unsatisfiable preference fails loudly instead of downgrading.
 func TestDialFailoverAndReadPreference(t *testing.T) {
-	e := newTCPTopoEnsemble(t, 3, 1)
+	e := newTCPTopoEnsemble(t, Vanilla, 3, 1)
 	voters := e.startVoters()
 	obs := e.start(4)
-	leader := tcpEnsembleLeader(t, voters)
+	leader := e.leader()
 	waitForCond(t, 15*time.Second, "observer to settle", func() bool {
 		return obs.Role() == zab.RoleObserving
 	})
@@ -343,9 +373,9 @@ func TestDialFailoverAndReadPreference(t *testing.T) {
 // are knowable: session count includes the asking session, watches
 // reflect registrations, and zxid advances with commits.
 func TestServerStatsReportsLoad(t *testing.T) {
-	e := newTCPTopoEnsemble(t, 1, 0)
+	e := newTCPTopoEnsemble(t, Vanilla, 1, 0)
 	node := e.startVoters()[0]
-	tcpEnsembleLeader(t, []*Node{node})
+	e.leader()
 
 	cl, err := node.Connect(client.Options{})
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -20,45 +19,17 @@ import (
 // reconfig commit, and the removed replica must park read-only instead
 // of campaigning.
 func TestReconfigGrowShrinkSecureMesh(t *testing.T) {
-	storageKey := bytes.Repeat([]byte{0x42}, 16)
-
-	// Four listeners up front so every address is known, but only the
-	// first three are in the seed topology: member 4 joins by reconfig.
-	listeners := make(map[zab.PeerID]net.Listener)
-	addrs := make(map[zab.PeerID]string)
-	for id := zab.PeerID(1); id <= 4; id++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		listeners[id] = ln
-		addrs[id] = ln.Addr().String()
-	}
+	// Four members up front so every address is known, but the seed
+	// voters' topology lists only the first three: member 4 joins by
+	// reconfig, under the ensemble's full view (4 as an observer).
+	e := newTCPTopoEnsemble(t, SecureKeeper, 3, 1)
+	addrs := e.topo.Addrs()
 	seedTopo := Topology{
-		Voters:    map[zab.PeerID]string{1: addrs[1], 2: addrs[2], 3: addrs[3]},
+		Voters:    e.topo.Voters,
 		Observers: map[zab.PeerID]string{},
 	}
-	startNode := func(id zab.PeerID, topo Topology) *Node {
-		t.Helper()
-		node, err := NewNode(NodeConfig{
-			Variant:         SecureKeeper,
-			ID:              id,
-			Topology:        topo,
-			MeshListener:    listeners[id],
-			StorageKey:      storageKey,
-			TickInterval:    5 * time.Millisecond,
-			ElectionTimeout: 250 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(node.Close)
-		return node
-	}
-
-	voters := []*Node{startNode(1, seedTopo), startNode(2, seedTopo), startNode(3, seedTopo)}
-	leader := tcpEnsembleLeader(t, voters)
+	voters := []*Node{e.startIn(1, seedTopo), e.startIn(2, seedTopo), e.startIn(3, seedTopo)}
+	leader := e.leader()
 	cl, err := leader.Connect(client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +55,7 @@ func TestReconfigGrowShrinkSecureMesh(t *testing.T) {
 	if !strings.Contains(resp.Ensemble, "observers=4") {
 		t.Fatalf("post-add ensemble = %q, want observer 4", resp.Ensemble)
 	}
-	joinTopo := Topology{
-		Voters:    map[zab.PeerID]string{1: addrs[1], 2: addrs[2], 3: addrs[3]},
-		Observers: map[zab.PeerID]string{4: addrs[4]},
-	}
-	joiner := startNode(4, joinTopo)
+	joiner := e.start(4)
 	waitForCond(t, 15*time.Second, "joiner to observe", func() bool {
 		return joiner.Role() == zab.RoleObserving && joiner.Leader() == leader.ID()
 	})

@@ -238,8 +238,7 @@ func TestSequentialNamingAttackSurface(t *testing.T) {
 // enclave path decryption (paths arrive plaintext at the client).
 func TestWatchThroughEnclave(t *testing.T) {
 	c := newTestCluster(t, SecureKeeper)
-	events := make(chan wire.WatcherEvent, 1)
-	watcher, err := c.Connect(0, client.Options{OnEvent: func(ev wire.WatcherEvent) { events <- ev }})
+	watcher, err := c.Connect(0, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +252,12 @@ func TestWatchThroughEnclave(t *testing.T) {
 	if _, err := writer.Create(ctxbg, "/watched", []byte("a"), 0); err != nil {
 		t.Fatal(err)
 	}
+	var w *client.Watch
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, _, err := watcher.GetW(ctxbg, "/watched"); err == nil {
+		_, _, ww, err := watcher.GetW(ctxbg, "/watched")
+		if err == nil {
+			w = ww
 			break
 		}
 		if time.Now().After(deadline) {
@@ -267,7 +269,7 @@ func TestWatchThroughEnclave(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case ev := <-events:
+	case ev := <-w.Events():
 		if ev.Path != "/watched" {
 			t.Fatalf("event path = %q (must be plaintext)", ev.Path)
 		}

@@ -10,10 +10,9 @@ import (
 )
 
 // Topology is the typed description of an ensemble: which ids vote,
-// which observe, and where each member's peer mesh listens. It replaces
-// the parallel "-id/-peers" flag parsing that skserver, NodeConfig and
-// the smoke scripts each did on their own — one spec string, parsed and
-// validated once, reused everywhere.
+// which observe, and where each member's peer mesh listens — one spec
+// string, parsed and validated once, shared by skserver, NodeConfig and
+// the smoke scripts.
 type Topology struct {
 	Voters    map[zab.PeerID]string
 	Observers map[zab.PeerID]string
@@ -65,19 +64,6 @@ func ParseTopology(spec string) (Topology, error) {
 		}
 	}
 	return t, t.Validate()
-}
-
-// VoterTopology builds an all-voter topology from an id→address map
-// (the shape the legacy -peers flag parsed).
-func VoterTopology(peers map[zab.PeerID]string) Topology {
-	t := Topology{
-		Voters:    make(map[zab.PeerID]string, len(peers)),
-		Observers: make(map[zab.PeerID]string),
-	}
-	for id, addr := range peers {
-		t.Voters[id] = addr
-	}
-	return t
 }
 
 // Validate checks structural invariants: at least one voter, positive

@@ -75,19 +75,6 @@ func TestParseTopologyRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
-func TestVoterTopology(t *testing.T) {
-	topo := VoterTopology(map[zab.PeerID]string{1: "h:1", 2: "h:2"})
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(topo.Voters) != 2 || len(topo.Observers) != 0 {
-		t.Fatalf("topology = %+v", topo)
-	}
-	if topo.String() != "1@h:1;2@h:2" {
-		t.Fatalf("string = %q", topo.String())
-	}
-}
-
 func TestTopologyValidateRejectsDualRole(t *testing.T) {
 	topo := Topology{
 		Voters:    map[zab.PeerID]string{1: "h:1"},

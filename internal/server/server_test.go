@@ -193,8 +193,7 @@ func TestSequentialNodesUniqueUnderContention(t *testing.T) {
 
 func TestWatchDeliveredAcrossReplicas(t *testing.T) {
 	tc := newTestCluster(t, 3)
-	events := make(chan wire.WatcherEvent, 4)
-	watcher := tc.connect(1, client.Options{OnEvent: func(ev wire.WatcherEvent) { events <- ev }})
+	watcher := tc.connect(1, client.Options{})
 	defer watcher.Close()
 	writer := tc.connect(2, client.Options{})
 	defer writer.Close()
@@ -202,10 +201,16 @@ func TestWatchDeliveredAcrossReplicas(t *testing.T) {
 	if _, err := writer.Create(ctxbg, "/w", []byte("a"), 0); err != nil {
 		t.Fatal(err)
 	}
-	// Watch may race the commit propagation to replica 1.
+	// Watch may race the commit propagation to replica 1. A GetW that
+	// runs before the create reaches this replica leaves an existence
+	// watch on its own handle; only the successful GetW's data watch is
+	// checked.
+	var w *client.Watch
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, _, err := watcher.GetW(ctxbg, "/w"); err == nil {
+		_, _, ww, err := watcher.GetW(ctxbg, "/w")
+		if err == nil {
+			w = ww
 			break
 		}
 		if time.Now().After(deadline) {
@@ -216,22 +221,13 @@ func TestWatchDeliveredAcrossReplicas(t *testing.T) {
 	if _, err := writer.Set(ctxbg, "/w", []byte("b"), -1); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		select {
-		case ev := <-events:
-			// A GetW attempt that ran before the create reached this
-			// replica registered an exist watch; its NodeCreated firing
-			// is legitimate and may precede the data watch's event.
-			if ev.Type == wire.EventNodeCreated && ev.Path == "/w" {
-				continue
-			}
-			if ev.Type != wire.EventNodeDataChanged || ev.Path != "/w" {
-				t.Fatalf("event = %+v", ev)
-			}
-			return
-		case <-time.After(5 * time.Second):
-			t.Fatal("watch event not delivered")
+	select {
+	case ev, ok := <-w.Events():
+		if !ok || ev.Type != wire.EventNodeDataChanged || ev.Path != "/w" {
+			t.Fatalf("event = %+v (delivered %v)", ev, ok)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("watch event not delivered")
 	}
 }
 
