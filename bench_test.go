@@ -1074,3 +1074,25 @@ func BenchmarkSecureChannelRecord(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSessionOpen is the session-setup cost of the lock-churn
+// workload: one Connect (secure-channel handshake, plus a provisioned
+// entry enclave under SecureKeeper) and its Close.
+func BenchmarkSessionOpen(b *testing.B) {
+	for _, v := range []core.Variant{core.TLS, core.SecureKeeper} {
+		b.Run(v.String(), func(b *testing.B) {
+			cluster := newBenchCluster(b, v)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cl, err := cluster.Connect(0, client.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := cl.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -76,9 +76,11 @@ type Options struct {
 	// Secure runs the secure-channel handshake after Dial connects
 	// (the tls and securekeeper server variants require it).
 	Secure bool
-	// VerifyPeer pins the server identity for Secure dials; nil
-	// accepts any peer (demo mode — production clients pin the
-	// enclave key received out of band, §4.1).
+	// VerifyPeer pins the server identity for Secure dials. The
+	// replica's signature is checked either way, but nil accepts any
+	// replica key, so a man in the middle with its own key gets in;
+	// real clients pin the enclave key received out of band (§4.1).
+	// The client itself presents no identity.
 	VerifyPeer transport.PeerVerifier
 	// DialTimeout bounds each single address attempt inside Dial
 	// (default 5s); the ctx bounds the whole call.

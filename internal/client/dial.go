@@ -91,16 +91,8 @@ func dialOne(ctx context.Context, addr string, opts Options) (*Client, error) {
 	}
 	var conn transport.Conn = transport.NewFramedConn(tcp)
 	if opts.Secure {
-		id, err := transport.NewIdentity()
-		if err != nil {
-			_ = tcp.Close()
-			return nil, err
-		}
-		verify := opts.VerifyPeer
-		if verify == nil {
-			verify = transport.VerifyAny()
-		}
-		conn, err = transport.Handshake(conn, id, true, verify)
+		// The client stays anonymous; the replica proves its key.
+		conn, err = transport.Handshake(conn, nil, true, opts.VerifyPeer)
 		if err != nil {
 			_ = tcp.Close()
 			return nil, fmt.Errorf("secure handshake with %s: %w", addr, err)

@@ -313,7 +313,9 @@ func (n *Node) ServeExternal(conn transport.Conn) error {
 		icept = &entryInterceptor{entry: entry, batches: &n.ecallBatches}
 	}
 	if n.cfg.Variant != Vanilla {
-		sc, err := transport.Handshake(conn, n.identity, false, transport.VerifyAny())
+		// Clients are anonymous to the replica (server-authenticated
+		// TLS, §4.1): the client pins this node's key, not the reverse.
+		sc, err := transport.Handshake(conn, n.identity, false, nil)
 		if err != nil {
 			return err
 		}
@@ -384,11 +386,7 @@ func (n *Node) Connect(opts client.Options) (*client.Client, error) {
 
 func (n *Node) connectClient(conn transport.Conn, opts client.Options) (*client.Client, error) {
 	if n.cfg.Variant != Vanilla {
-		id, err := transport.NewIdentity()
-		if err != nil {
-			return nil, err
-		}
-		sc, err := transport.Handshake(conn, id, true, transport.VerifyExact(n.identity.Public))
+		sc, err := transport.Handshake(conn, nil, true, transport.VerifyExact(n.identity.Public))
 		if err != nil {
 			return nil, err
 		}

@@ -390,3 +390,51 @@ func TestConcurrentSessionsReadThroughput(t *testing.T) {
 		t.Fatal("no reads completed")
 	}
 }
+
+// TestWatchQueueDropsPastCap: events notified while the writer is not
+// draining queue up to watchEventBuffer and the rest are dropped. The
+// writer then delivers exactly the first watchEventBuffer events in
+// notification order, and nothing from past the drop point.
+func TestWatchQueueDropsPastCap(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	serverEnd, clientEnd := transport.NewChanPipe()
+	s := newSession(tc.replicas[0], 4243, serverEnd, NopInterceptor{})
+	const notified = watchEventBuffer + 76
+	for i := 0; i < notified; i++ {
+		s.Notify(wire.WatcherEvent{Type: wire.EventNodeDataChanged, Path: fmt.Sprintf("/e%d", i)})
+	}
+	go s.writer()
+	defer func() {
+		s.shutdown()
+		<-s.writerD
+	}()
+
+	next := func() string {
+		t.Helper()
+		frame, err := clientEnd.RecvFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := wire.NewDecoder(frame)
+		var hdr wire.ReplyHeader
+		var ev wire.WatcherEvent
+		if err := hdr.Deserialize(d); err != nil || hdr.Xid != wire.WatcherEventXid {
+			t.Fatalf("frame is not a watch event: xid %d, %v", hdr.Xid, err)
+		}
+		if err := ev.Deserialize(d); err != nil {
+			t.Fatal(err)
+		}
+		return ev.Path
+	}
+	for i := 0; i < watchEventBuffer; i++ {
+		if got, want := next(), fmt.Sprintf("/e%d", i); got != want {
+			t.Fatalf("event %d is %s, want %s", i, got, want)
+		}
+	}
+	// The queue is drained: a marker is the very next event, so none of
+	// the dropped ones were held back.
+	s.Notify(wire.WatcherEvent{Type: wire.EventNodeDataChanged, Path: "/marker"})
+	if got := next(); got != "/marker" {
+		t.Fatalf("after the cap the next event is %s, want /marker", got)
+	}
+}

@@ -138,8 +138,12 @@ type session struct {
 	doneAhead    map[int64]struct{}
 	closed       bool
 
-	kickCh  chan struct{}
-	events  chan wire.WatcherEvent
+	kickCh chan struct{}
+	// events is the watch notification queue, FIFO and capped at
+	// watchEventBuffer. It has its own lock because ztree calls Notify
+	// during apply, which must not wait on the session's mu.
+	evMu    sync.Mutex
+	events  []wire.WatcherEvent
 	stopped chan struct{}
 	writerD chan struct{}
 
@@ -156,7 +160,6 @@ func newSession(r *Replica, id int64, conn transport.Conn, icept Interceptor) *s
 		conn:    conn,
 		icept:   icept,
 		kickCh:  make(chan struct{}, 1),
-		events:  make(chan wire.WatcherEvent, watchEventBuffer),
 		stopped: make(chan struct{}),
 		writerD: make(chan struct{}),
 	}
@@ -164,14 +167,36 @@ func newSession(r *Replica, id int64, conn transport.Conn, icept Interceptor) *s
 	return s
 }
 
-// Notify implements ztree.Watcher: enqueue without blocking.
+// Notify implements ztree.Watcher: enqueue without blocking on the
+// client. A full queue drops the event.
 func (s *session) Notify(ev wire.WatcherEvent) {
-	select {
-	case s.events <- ev:
-		s.kick()
-	default:
-		// Drop: the client's event queue is full.
+	s.evMu.Lock()
+	full := len(s.events) >= watchEventBuffer
+	if !full {
+		s.events = append(s.events, ev)
 	}
+	s.evMu.Unlock()
+	if !full {
+		s.kick()
+	}
+}
+
+// takeEvents pops up to maxBatchMsgs queued watch events, encoded as
+// event frames, into dst.
+func (s *session) takeEvents(dst [][]byte) [][]byte {
+	s.evMu.Lock()
+	defer s.evMu.Unlock()
+	n := min(len(s.events), maxBatchMsgs-len(dst))
+	for i := range n {
+		hdr := wire.ReplyHeader{Xid: wire.WatcherEventXid, Err: wire.ErrOK}
+		dst = append(dst, wire.MarshalPair(&hdr, &s.events[i]))
+	}
+	clear(s.events[:n])
+	s.events = s.events[n:]
+	if len(s.events) == 0 {
+		s.events = nil
+	}
+	return dst
 }
 
 // kick wakes the writer goroutine.
@@ -456,17 +481,7 @@ func (s *session) writer() {
 		}
 		// Release watch events.
 		for {
-			evs := s.sendBuf[:0]
-		take:
-			for len(evs) < maxBatchMsgs {
-				select {
-				case ev := <-s.events:
-					hdr := wire.ReplyHeader{Xid: wire.WatcherEventXid, Err: wire.ErrOK}
-					evs = append(evs, wire.MarshalPair(&hdr, &ev))
-				default:
-					break take
-				}
-			}
+			evs := s.takeEvents(s.sendBuf[:0])
 			if len(evs) == 0 {
 				break
 			}

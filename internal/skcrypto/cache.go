@@ -35,8 +35,10 @@ type chunkEntry struct {
 	prev, next *chunkEntry
 }
 
+// newChunkCache leaves the map to grow on demand: a short session's
+// entry enclave caches a handful of chunks, not max.
 func newChunkCache(max int) *chunkCache {
-	return &chunkCache{max: max, m: make(map[string]*chunkEntry, min(max, 256))}
+	return &chunkCache{max: max, m: make(map[string]*chunkEntry)}
 }
 
 // get returns the cached value and refreshes its recency.

@@ -67,18 +67,21 @@ func RecvFrames(conn Conn, dst [][]byte, max int) ([][]byte, error) {
 }
 
 // frameArena amortizes per-frame buffer allocations: frames are carved
-// out of a large chunk, and a fresh chunk is allocated only when the
-// current one is exhausted. Carved regions are never reused, so the
-// caller-owns contract of RecvFrame holds — the garbage collector
-// frees a chunk once no frame carved from it is referenced. Frames too
-// large to amortize get their own allocation.
+// out of a chunk, and a fresh chunk is allocated only when the current
+// one is exhausted. Chunks start small and double up to arenaChunkSize,
+// so a short session pays for a few KiB, not a full chunk. Carved
+// regions are never reused, so the caller-owns contract of RecvFrame
+// holds — the garbage collector frees a chunk once no frame carved
+// from it is referenced. Frames too large to amortize get their own
+// allocation.
 type frameArena struct {
 	buf []byte
 	off int
 }
 
 const (
-	arenaChunkSize = 32 << 10
+	arenaFirstChunk = 1 << 10
+	arenaChunkSize  = 32 << 10
 	// arenaMaxCarve bounds carved frames so one big frame cannot waste
 	// most of a chunk.
 	arenaMaxCarve = arenaChunkSize / 4
@@ -91,7 +94,11 @@ func (a *frameArena) carve(n int) []byte {
 		return make([]byte, n)
 	}
 	if len(a.buf)-a.off < n {
-		a.buf = make([]byte, arenaChunkSize)
+		size := max(arenaFirstChunk, 2*len(a.buf))
+		for size < n {
+			size *= 2
+		}
+		a.buf = make([]byte, min(size, arenaChunkSize))
 		a.off = 0
 	}
 	b := a.buf[a.off : a.off+n : a.off+n]

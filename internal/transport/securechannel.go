@@ -21,6 +21,13 @@ import (
 // 64-bit nonce counters. It matches the paper's "connection encryption
 // alike TLS" (§4.1) while being small enough to run inside the entry
 // enclave's trusted code base.
+//
+// Each side sends one flight. The responder always proves its
+// long-term key; the initiator may stay anonymous, as a TLS client
+// without a certificate does. Client connections use that
+// server-authenticated form: the client pins the replica's key, and
+// the replica asks nothing of the client. The zab peer mesh
+// authenticates both directions.
 
 // Secure channel errors.
 var (
@@ -46,7 +53,8 @@ func NewIdentity() (*Identity, error) {
 }
 
 // PeerVerifier decides whether a presented peer public key is trusted;
-// the bidirectional TLS certificate verification of §4.5.
+// the bidirectional TLS certificate verification of §4.5. A responder
+// given a verifier requires the initiator to present a signed identity.
 type PeerVerifier func(peer ed25519.PublicKey) error
 
 // VerifyExact returns a verifier that accepts exactly the given key
@@ -60,7 +68,9 @@ func VerifyExact(expected ed25519.PublicKey) PeerVerifier {
 	}
 }
 
-// VerifyAny accepts all peers; used by baselines without client auth.
+// VerifyAny accepts any peer key, but only a presented one: the
+// peer's flight must still carry a valid signature. A responder that
+// also admits anonymous initiators passes a nil verifier instead.
 func VerifyAny() PeerVerifier {
 	return func(ed25519.PublicKey) error { return nil }
 }
@@ -88,29 +98,42 @@ var (
 	_ BatchReceiver = (*SecureConn)(nil)
 )
 
-// handshakeMsg is the single flight each side sends:
-// ephemeralX25519(32) || ed25519pub(32) || signature(64) over both.
-const handshakeLen = 32 + ed25519.PublicKeySize + ed25519.SignatureSize
+// Handshake flights. The signed flight is
+// ephemeralX25519(32) || ed25519pub(32) || signature(64) over the first
+// two fields; an anonymous initiator sends the ephemeral alone.
+const (
+	anonFlightLen   = 32
+	signedFlightLen = 32 + ed25519.PublicKeySize + ed25519.SignatureSize
+)
 
-func buildHandshake(id *Identity, eph *ecdh.PrivateKey) []byte {
-	msg := make([]byte, 0, handshakeLen)
+func buildFlight(id *Identity, eph *ecdh.PrivateKey) []byte {
+	if id == nil {
+		return eph.PublicKey().Bytes()
+	}
+	msg := make([]byte, 0, signedFlightLen)
 	msg = append(msg, eph.PublicKey().Bytes()...)
 	msg = append(msg, id.Public...)
 	sig := ed25519.Sign(id.Private, msg)
 	return append(msg, sig...)
 }
 
-func parseHandshake(buf []byte) (ephPub *ecdh.PublicKey, peer ed25519.PublicKey, err error) {
-	if len(buf) != handshakeLen {
+// parseFlight checks a peer's flight. A signed flight's signature is
+// always verified; an anonymous one is accepted only when
+// allowAnonymous is set, and then peer is nil.
+func parseFlight(buf []byte, allowAnonymous bool) (ephPub *ecdh.PublicKey, peer ed25519.PublicKey, err error) {
+	switch {
+	case len(buf) == anonFlightLen && allowAnonymous:
+	case len(buf) == signedFlightLen:
+		signed := buf[:32+ed25519.PublicKeySize]
+		// Clone the key: the handshake frame's storage belongs to the
+		// transport and must not be pinned for the connection's lifetime.
+		peer = ed25519.PublicKey(append([]byte(nil), buf[32:32+ed25519.PublicKeySize]...))
+		sig := buf[32+ed25519.PublicKeySize:]
+		if !ed25519.Verify(peer, signed, sig) {
+			return nil, nil, fmt.Errorf("%w: bad handshake signature", ErrHandshakeFailed)
+		}
+	default:
 		return nil, nil, fmt.Errorf("%w: bad handshake length %d", ErrHandshakeFailed, len(buf))
-	}
-	signed := buf[:32+ed25519.PublicKeySize]
-	// Clone the key: the handshake frame's storage belongs to the
-	// transport and must not be pinned for the connection's lifetime.
-	peer = ed25519.PublicKey(append([]byte(nil), buf[32:32+ed25519.PublicKeySize]...))
-	sig := buf[32+ed25519.PublicKeySize:]
-	if !ed25519.Verify(peer, signed, sig) {
-		return nil, nil, fmt.Errorf("%w: bad handshake signature", ErrHandshakeFailed)
 	}
 	ephPub, err = ecdh.X25519().NewPublicKey(buf[:32])
 	if err != nil {
@@ -148,14 +171,21 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 }
 
 // Handshake runs the key exchange over inner. isInitiator breaks the
-// key-direction symmetry (the client initiates). verify authenticates
-// the peer's long-term key.
+// key-direction symmetry (the client initiates). The responder must
+// have an identity; an initiator with a nil id stays anonymous. verify
+// authenticates the peer's long-term key. The initiator always
+// requires the responder's signed flight. A responder with a verifier
+// requires a signed flight too; one with a nil verifier also accepts
+// an anonymous initiator, and still checks a signature if one comes.
 func Handshake(inner Conn, id *Identity, isInitiator bool, verify PeerVerifier) (*SecureConn, error) {
+	if id == nil && !isInitiator {
+		return nil, fmt.Errorf("%w: responder needs an identity", ErrHandshakeFailed)
+	}
 	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("transport: ephemeral key: %w", err)
 	}
-	if err := inner.SendFrame(buildHandshake(id, eph)); err != nil {
+	if err := inner.SendFrame(buildFlight(id, eph)); err != nil {
 		return nil, fmt.Errorf("transport: send handshake: %w", err)
 	}
 	peerMsg, err := inner.RecvFrame()
@@ -165,7 +195,7 @@ func Handshake(inner Conn, id *Identity, isInitiator bool, verify PeerVerifier) 
 		}
 		return nil, fmt.Errorf("transport: recv handshake: %w", err)
 	}
-	peerEph, peerID, err := parseHandshake(peerMsg)
+	peerEph, peerID, err := parseFlight(peerMsg, !isInitiator && verify == nil)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +232,8 @@ func Handshake(inner Conn, id *Identity, isInitiator bool, verify PeerVerifier) 
 	}, nil
 }
 
-// Peer returns the authenticated long-term key of the remote side.
+// Peer returns the authenticated long-term key of the remote side, or
+// nil when the initiator was anonymous.
 func (c *SecureConn) Peer() ed25519.PublicKey { return c.peer }
 
 // SendFrame implements Conn: seals payload with the next nonce. The

@@ -302,13 +302,19 @@ type Peer struct {
 	peerScratch []PeerID
 	// leaderSynced records whether the followed leader has answered our
 	// FOLLOWERINFO with a sync. Until it does, the tick re-sends the
-	// FOLLOWERINFO: the first one races the leader's own activation (it
-	// ignores FOLLOWERINFO while still LOOKING), and without a retry
-	// the leader would never assemble a synced quorum — a permanently
-	// wedged ensemble the multi-process failover harness exposed.
-	// nextSyncAsk paces those retries.
+	// FOLLOWERINFO: the first one races the leader's own activation (a
+	// LOOKING leader-to-be keeps it only for the current round, see
+	// earlyInfo), and without a retry the leader would never assemble a
+	// synced quorum — a permanently wedged ensemble the multi-process
+	// failover harness exposed. nextSyncAsk paces those retries.
 	leaderSynced bool
 	nextSyncAsk  time.Time
+	// earlyInfo holds the committed frontiers of voters whose
+	// FOLLOWERINFO reached this peer while it was still LOOKING: a
+	// follower that settles the election first asks before its leader
+	// has activated. becomeLeader answers them at once instead of
+	// leaving each to the paced retry; a round change discards them.
+	earlyInfo map[PeerID]int64
 
 	// outDepth mirrors len(outstanding) for lock-free observability
 	// (the admin/stats API reads it off the loop goroutine).
@@ -360,6 +366,7 @@ func NewPeer(cfg Config) *Peer {
 		proposals: make(map[int64]*pendingProposal),
 		inflight:  make(map[int64]ProposalRecord),
 		synced:    make(map[PeerID]struct{}),
+		earlyInfo: make(map[PeerID]int64),
 		obsSynced: make(map[PeerID]struct{}),
 		voters:    make(map[PeerID]struct{}, len(c.Peers)),
 		observers: make(map[PeerID]struct{}, len(c.Observers)),
@@ -662,6 +669,7 @@ func (p *Peer) startElection() {
 	p.finalizeDue = time.Time{}
 	p.round++
 	p.votes = make(map[PeerID]vote, len(p.voters))
+	clear(p.earlyInfo)
 	// Votes advertise the ACKed frontier (electionZxid): the committed
 	// bound extended by the gapless in-flight prefix this peer still
 	// buffers. Committed-only is not enough — a leader that reaches
@@ -787,6 +795,7 @@ func (p *Peer) handleVote(msg Message) {
 	case v.round > p.myVote.round:
 		// Join the newer round, adopting the better of the two votes.
 		p.round = v.round
+		clear(p.earlyInfo)
 		mine := vote{round: v.round, for_: p.cfg.ID, zxid: p.electionZxid()}
 		if betterVote(v, mine) {
 			p.myVote = v
@@ -898,6 +907,10 @@ func (p *Peer) becomeLeader() {
 		p.lastHeard[id] = now
 	}
 	p.setRole(RoleLeading, p.cfg.ID)
+	for id, zxid := range p.earlyInfo {
+		p.handleFollowerInfo(Message{Kind: KindFollowerInfo, From: id, Zxid: zxid})
+	}
+	clear(p.earlyInfo)
 }
 
 func (p *Peer) becomeFollower(leader PeerID) {
@@ -926,7 +939,11 @@ func (p *Peer) syncAskInterval() time.Duration { return p.cfg.ElectionTimeout / 
 // --- recovery / sync ---
 
 func (p *Peer) handleFollowerInfo(msg Message) {
-	if p.Role() != RoleLeading {
+	role := p.Role()
+	if role == RoleLooking && p.isVoter(msg.From) {
+		p.earlyInfo[msg.From] = msg.Zxid
+	}
+	if role != RoleLeading {
 		return
 	}
 	if !p.isVoter(msg.From) {

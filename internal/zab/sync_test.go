@@ -68,6 +68,31 @@ func TestFollowerInfoAdvertisesCommittedFrontier(t *testing.T) {
 	}
 }
 
+// TestEarlyFollowerInfoAnsweredOnActivation: a follower that settles
+// the election first sends FOLLOWERINFO while its leader-to-be is still
+// LOOKING. The leader answers it the moment it activates rather than
+// leaving the follower unsynced until the paced retry; a FOLLOWERINFO
+// from an earlier round is not answered.
+func TestEarlyFollowerInfoAnsweredOnActivation(t *testing.T) {
+	tr := newCaptureTransport()
+	p := NewPeer(Config{ID: 1, Peers: []PeerID{1, 2, 3}, Transport: tr})
+	p.startElection()
+	p.handleFollowerInfo(Message{Kind: KindFollowerInfo, From: 3, Zxid: 0})
+	p.startElection() // a new round discards peer 3's ask
+	p.handleFollowerInfo(Message{Kind: KindFollowerInfo, From: 2, Zxid: 0})
+	if n := len(tr.byKind(KindSyncDiff)) + len(tr.byKind(KindSyncSnap)); n != 0 {
+		t.Fatalf("LOOKING peer sent %d sync answers", n)
+	}
+	p.becomeLeader()
+	diffs := tr.byKind(KindSyncDiff)
+	if len(diffs) != 1 || diffs[0].From != 2 { // captureTransport stamps the destination in From
+		t.Fatalf("sync answers on activation = %+v, want one SYNCDIFF to peer 2", diffs)
+	}
+	if len(p.earlyInfo) != 0 {
+		t.Fatalf("earlyInfo not cleared on activation: %v", p.earlyInfo)
+	}
+}
+
 // TestFollowerInfoRetryPaced: an unsynced follower re-requests at the
 // sync-ask interval, not once per tick — a slow snapshot transfer must
 // not be answered with a fresh snapshot every 10ms.

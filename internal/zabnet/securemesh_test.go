@@ -224,6 +224,22 @@ func TestSecureMeshHandshakeNegatives(t *testing.T) {
 			return nil
 		})
 	})
+
+	t.Run("anonymous channel initiator", func(t *testing.T) {
+		// A fully valid attested hello, then a channel handshake with
+		// no identity: the mesh verifies peers, so the 32-byte
+		// anonymous flight must be refused.
+		expectHandshakeRejected(t, m, 3, func(fc *transport.FramedConn) error {
+			if err := sendHelloSec(fc, 3, false, &SecureConfig{Signer: sec.Signer, Identity: goodID}); err != nil {
+				return err
+			}
+			if _, err := fc.RecvFrame(); err != nil {
+				return err
+			}
+			_, _ = transport.Handshake(fc, nil, true, nil)
+			return nil
+		})
+	})
 }
 
 // newSecHelloEncoder builds the fixed prefix of an attested hello so
